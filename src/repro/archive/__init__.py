@@ -6,8 +6,8 @@ this subpackage makes that workflow persistent and machine-checkable:
 * :mod:`~repro.archive.store` -- the content-addressed run store:
   gzip'd canonical profile JSON keyed by sha256 (identical runs
   deduplicate to one object), plus an append-only JSONL index of run
-  metadata, written crash-safely via
-  :func:`repro.ioutil.atomic_write` under an advisory lock.
+  metadata, appended under the crash-safe log contract of
+  :mod:`repro.ioutil` while holding an advisory lock.
 * :mod:`~repro.archive.meta` -- :class:`RunMeta` records (kernel,
   size/variant, threads, seed, substrates, configuration fingerprint,
   virtual wall time) and the :func:`config_fingerprint` grouping hash.

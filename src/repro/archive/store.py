@@ -5,7 +5,7 @@ Layout of an archive directory::
     <root>/
       objects/<aa>/<sha256>.json.gz   # gzip'd canonical profile JSON
       index.jsonl                     # append-only run/tag records
-      index.lock                      # advisory lock for index rewrites
+      index.lock                      # advisory lock for index writes
 
 **Objects** are immutable and keyed by the sha256 of the *canonical*
 profile JSON (sorted keys, compact separators), so re-archiving an
@@ -14,14 +14,15 @@ and the existing object is reused.  The gzip header is written with a
 zeroed mtime, making the object file itself a pure function of the
 profile content.
 
-**The index** is append-only JSONL.  Every mutation rewrites it through
-:func:`repro.ioutil.atomic_write` under an advisory file lock, so a
-crash mid-write can never leave a torn index (readers see the old or
-the new file, nothing in between) and concurrent supervisor workers
-archiving cells in parallel serialize cleanly.  Loading tolerates
-unparsable lines the same way the supervisor journal does: corruption
-never makes the archive refuse to answer, the worst case is a missing
-record.
+**The index** is an append-only JSONL log under the contract of
+:mod:`repro.ioutil`: ``put`` and ``tag`` each append one fsync'd record
+while holding an advisory lock on ``index.lock``, so concurrent
+supervisor workers archiving cells in parallel serialize cleanly and
+never allocate the same run id.  A crash mid-append costs at most one
+torn final line, which loading skips the same way the supervisor
+journal does: corruption never makes the archive refuse to answer, the
+worst case is a missing record.  Only :meth:`ArchiveStore.gc` and
+``fsck --repair`` rewrite the whole index.
 
 Record types::
 
@@ -38,18 +39,17 @@ keeps naming the same run for the archive's whole life.
 
 from __future__ import annotations
 
-import contextlib
 import gzip
 import hashlib
 import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
+from repro import ioutil
 from repro.cube.export import profile_from_dict, profile_to_dict
 from repro.errors import ArchiveError, ArchiveLockTimeout
-from repro.ioutil import atomic_write
 from repro.archive.meta import RunMeta
 
 INDEX_NAME = "index.jsonl"
@@ -66,6 +66,22 @@ def canonical_profile_bytes(profile) -> bytes:
 
 def content_hash(profile) -> str:
     return hashlib.sha256(canonical_profile_bytes(profile)).hexdigest()
+
+
+def run_serial(entry: dict) -> int:
+    """The run-id serial an index entry accounts for (0 if none): 7 for
+    run ``r0007``, ``last_run`` for the ``counter`` record gc leaves."""
+    run_id = entry.get("run_id")
+    if entry.get("type") == "counter":
+        value = entry.get("last_run", 0)
+    elif entry.get("type") == "run" and isinstance(run_id, str) and run_id[:1] == "r":
+        value = run_id[1:]
+    else:
+        return 0
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        return 0
 
 
 @dataclass
@@ -124,11 +140,11 @@ class ArchiveStore:
 
     ``lock_timeout_s`` bounds how long any index mutation will wait for
     the advisory index lock; past it, :class:`~repro.errors.ArchiveLockTimeout`
-    is raised instead of blocking forever.  The default (None) preserves
-    the historical block-indefinitely behavior; lease-based callers (the
-    campaign gateway) set it below their lease TTL so a wedged lock
-    holder surfaces as a structured error, not as a silently forfeited
-    lease.
+    is raised instead of blocking forever.  The default (None) blocks
+    indefinitely, and is what every caller in this package uses.  A
+    caller working under a time-limited lease can set it below the
+    lease TTL, so a wedged lock holder surfaces as a structured error
+    rather than as a silently forfeited lease.
     """
 
     def __init__(self, root: str, *, lock_timeout_s: Optional[float] = None):
@@ -138,6 +154,11 @@ class ArchiveStore:
                 f"lock_timeout_s must be positive, got {lock_timeout_s!r}"
             )
         self.lock_timeout_s = lock_timeout_s
+        self._lock = ioutil.FileLock(
+            os.path.join(self.root, "index.lock"),
+            timeout=lock_timeout_s,
+            error=ArchiveLockTimeout,
+        )
 
     # -- paths ---------------------------------------------------------
     @property
@@ -148,50 +169,10 @@ class ArchiveStore:
         return os.path.join(self.root, OBJECTS_DIR, sha256[:2], sha256 + ".json.gz")
 
     # -- locking -------------------------------------------------------
-    @contextlib.contextmanager
-    def _locked(self) -> Iterator[None]:
-        """Advisory exclusive lock serializing index rewrites.
-
-        Best-effort where ``fcntl`` is unavailable (Windows): the write
-        itself stays atomic either way, the lock only serializes
-        concurrent read-modify-write cycles.
-        """
+    def _locked(self) -> ioutil.FileLock:
+        """The advisory exclusive lock serializing index writes."""
         os.makedirs(self.root, exist_ok=True)
-        lock_path = os.path.join(self.root, "index.lock")
-        try:
-            import fcntl
-        except ImportError:  # pragma: no cover - non-POSIX
-            yield
-            return
-        with open(lock_path, "a+") as handle:
-            if self.lock_timeout_s is None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            else:
-                # Bounded wait: poll a non-blocking flock until the
-                # deadline.  EWOULDBLOCK is the only retryable errno;
-                # anything else is a real filesystem failure.
-                deadline = time.monotonic() + self.lock_timeout_s
-                while True:
-                    try:
-                        fcntl.flock(
-                            handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB
-                        )
-                        break
-                    except (BlockingIOError, PermissionError):
-                        if time.monotonic() >= deadline:
-                            raise ArchiveLockTimeout(
-                                f"could not acquire the archive index lock "
-                                f"at {lock_path!r} within "
-                                f"{self.lock_timeout_s:g} s (held by a "
-                                f"concurrent writer?)"
-                            ) from None
-                        time.sleep(
-                            min(0.01, self.lock_timeout_s / 20.0)
-                        )
-            try:
-                yield
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        return self._lock
 
     # -- objects -------------------------------------------------------
     @staticmethod
@@ -228,7 +209,7 @@ class ArchiveStore:
             return sha256, False
         # mtime=0 keeps the compressed object a pure function of content.
         blob = gzip.compress(payload, mtime=0)
-        atomic_write(path, blob)
+        ioutil.atomic_write(path, blob)
         return sha256, True
 
     def has_object(self, sha256: str) -> bool:
@@ -267,46 +248,23 @@ class ArchiveStore:
         return profile_from_dict(json.loads(payload.decode("utf-8")))
 
     # -- index ---------------------------------------------------------
-    def _read_index_lines(self) -> List[str]:
-        try:
-            with open(self.index_path, encoding="utf-8") as handle:
-                return handle.read().splitlines()
-        except FileNotFoundError:
-            return []
-
-    def _append_entries(self, entries: List[dict]) -> None:
-        lines = self._read_index_lines()
-        for entry in entries:
-            lines.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
-        atomic_write(self.index_path, "\n".join(lines) + "\n")
-
     def records(self) -> List[ArchiveRecord]:
         """All run records, oldest first, with ``tag`` records folded in."""
         records: Dict[str, ArchiveRecord] = {}
-        order: List[str] = []
-        for line in self._read_index_lines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn/corrupt line: skip, like the journal does
+        for entry in ioutil.read(self.index_path):
             kind = entry.get("type")
             if kind == "run":
                 try:
                     record = ArchiveRecord.from_dict(entry)
                 except (KeyError, TypeError, ValueError):
                     continue
-                if record.run_id not in records:
-                    order.append(record.run_id)
                 records[record.run_id] = record
             elif kind == "tag":
                 record = records.get(entry.get("run_id"))
                 tag = entry.get("tag")
                 if record is not None and tag and tag not in record.extra_tags:
                     record.extra_tags.append(tag)
-        return [records[run_id] for run_id in order]
+        return list(records.values())
 
     def _max_run_serial(self) -> int:
         """The highest run-id serial the index has ever allocated.
@@ -317,29 +275,7 @@ class ArchiveStore:
         so ids stay monotonic even after the records that carried them
         are gone from the index.
         """
-        highest = 0
-        for line in self._read_index_lines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue
-            kind = entry.get("type")
-            if kind == "run":
-                run_id = entry.get("run_id")
-                if isinstance(run_id, str) and run_id[:1] == "r":
-                    try:
-                        highest = max(highest, int(run_id[1:]))
-                    except ValueError:
-                        continue
-            elif kind == "counter":
-                try:
-                    highest = max(highest, int(entry.get("last_run", 0)))
-                except (TypeError, ValueError):
-                    continue
-        return highest
+        return max(map(run_serial, ioutil.read(self.index_path)), default=0)
 
     def get_record(self, ref: str) -> ArchiveRecord:
         """Resolve a run id, full hash, or unambiguous hash prefix."""
@@ -381,7 +317,7 @@ class ArchiveStore:
                 meta=meta,
                 deduplicated=not created,
             )
-            self._append_entries([record.to_dict()])
+            ioutil.append(self.index_path, record.to_dict())
         return record
 
     def load_profile(self, ref: str):
@@ -394,8 +330,9 @@ class ArchiveStore:
         with self._locked():
             record = self.get_record(ref)
             if tag not in record.tags:
-                self._append_entries(
-                    [{"type": "tag", "run_id": record.run_id, "tag": tag}]
+                ioutil.append(
+                    self.index_path,
+                    {"type": "tag", "run_id": record.run_id, "tag": tag},
                 )
                 record.extra_tags.append(tag)
         return record
@@ -424,28 +361,23 @@ class ArchiveStore:
                     survivors.update(id(r) for r in group[-keep_last:])
                 keep = [r for r in records if id(r) in survivors]
                 stats.runs_dropped = len(records) - len(keep)
-            # Preserve the id high-water mark across the rewrite so ids
-            # of pruned runs are never handed out again.  The index --
-            # counter record first -- is written *before* any object is
-            # deleted: an OSError (ENOSPC, permissions) mid-prune then
-            # leaves a consistent index whose surviving records all still
-            # have their objects; undeleted garbage is re-collectable by
-            # a later gc.
-            entries: List[dict] = [
-                {"type": "counter", "last_run": self._max_run_serial()}
-            ]
-            for record in keep:
-                entries.append(record.to_dict())
-                for tag in record.extra_tags:
-                    entries.append(
-                        {"type": "tag", "run_id": record.run_id, "tag": tag}
-                    )
-            if keep_last is not None:
-                text = "\n".join(
-                    json.dumps(e, sort_keys=True, separators=(",", ":"))
-                    for e in entries
-                )
-                atomic_write(self.index_path, text + "\n")
+                # Preserve the id high-water mark across the rewrite so
+                # ids of pruned runs are never handed out again.  The
+                # index -- counter record first -- is written *before*
+                # any object is deleted: an OSError (ENOSPC, permissions)
+                # mid-prune then leaves a consistent index whose
+                # surviving records all still have their objects;
+                # undeleted garbage is re-collectable by a later gc.
+                entries: List[dict] = [
+                    {"type": "counter", "last_run": self._max_run_serial()}
+                ]
+                for record in keep:
+                    entries.append(record.to_dict())
+                    for tag in record.extra_tags:
+                        entries.append(
+                            {"type": "tag", "run_id": record.run_id, "tag": tag}
+                        )
+                ioutil.rewrite(self.index_path, entries)
             referenced = {record.sha256 for record in keep}
             objects_root = os.path.join(self.root, OBJECTS_DIR)
             for dirpath, _dirnames, filenames in os.walk(objects_root):

@@ -297,7 +297,8 @@ class ValidationError(ReproError):
 class ArchiveLockTimeout(ArchiveError):
     """Acquiring the archive index lock exceeded its timeout.
 
-    Raised by :meth:`repro.archive.ArchiveStore._locked` when the store
+    Raised by the index-writing :class:`repro.archive.ArchiveStore`
+    operations (``put``, ``tag``, ``gc``) and by ``fsck`` when the store
     was built with ``lock_timeout_s`` and the advisory flock stayed held
     past the deadline.  Without a timeout a wedged lock holder would
     block forever -- in lease-based execution that means a worker hangs

@@ -26,11 +26,11 @@ to.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import ioutil
 from repro.service.ledger import LedgerState, load_ledger
 from repro.service.model import TERMINAL_STATES
 from repro.supervisor.journal import TERMINAL_OUTCOMES
@@ -70,28 +70,15 @@ def _journal_terminal_counts(path: str) -> Tuple[Dict[str, int], int]:
     the final state.
     """
     counts: Dict[str, int] = {}
-    torn = 0
-    try:
-        handle = open(path, encoding="utf-8")
-    except FileNotFoundError:
-        return counts, torn
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                torn += 1
-                continue
-            if (
-                entry.get("type") == "result"
-                and entry.get("outcome") in TERMINAL_OUTCOMES
-            ):
-                cell = str(entry.get("cell"))
-                counts[cell] = counts.get(cell, 0) + 1
-    return counts, torn
+    torn: list = []
+    for entry in ioutil.read(path, torn=torn):
+        if (
+            entry.get("type") == "result"
+            and entry.get("outcome") in TERMINAL_OUTCOMES
+        ):
+            cell = str(entry.get("cell"))
+            counts[cell] = counts.get(cell, 0) + 1
+    return counts, len(torn)
 
 
 def _audit_archive(

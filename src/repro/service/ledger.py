@@ -1,6 +1,7 @@
 """The campaign ledger: a flock-serialized, fsync'd write-ahead log.
 
-The gateway's single source of truth is one append-only JSONL file.
+The gateway's single source of truth is one append-only JSONL file,
+written under the log contract of :mod:`repro.ioutil`.
 Every state change is appended -- flushed and fsync'd -- *before* the
 action it describes takes effect, so a SIGKILL at any byte offset costs
 at most the final, partial line; :func:`load_ledger` tolerates exactly
@@ -38,14 +39,11 @@ refuse to look at it.
 
 from __future__ import annotations
 
-import fcntl
-import json
 import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
+from repro import ioutil
 from repro.errors import LedgerVersionError
 from repro.service.model import (
     Campaign,
@@ -61,11 +59,10 @@ class Ledger:
     """Append-only writer with a process-wide advisory lock.
 
     :meth:`locked` serializes read-decide-append sequences across
-    *processes* (flock on ``<path>.lock``) and across *threads* of this
-    process (an RLock, because flock on two fds of one file deadlocks
-    within a single process).  :meth:`append` may be called bare -- it
-    takes the lock itself -- or inside a ``locked()`` block, where the
-    depth counter keeps it from re-acquiring the flock it already holds.
+    processes and threads (an :class:`~repro.ioutil.FileLock` on
+    ``<path>.lock``).  :meth:`append` may be called bare -- it takes the
+    lock itself -- or inside a ``locked()`` block, where the lock's
+    re-entrancy keeps it from re-acquiring the flock it already holds.
     """
 
     def __init__(self, path: str):
@@ -73,39 +70,19 @@ class Ledger:
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self._lock_path = self.path + ".lock"
-        self._tlock = threading.RLock()
-        self._depth = 0
+        self._lock = ioutil.FileLock(self.path + ".lock")
 
-    @contextmanager
-    def locked(self) -> Iterator[None]:
-        with self._tlock:
-            if self._depth == 0:
-                self._lock_handle = open(self._lock_path, "a+")
-                fcntl.flock(self._lock_handle.fileno(), fcntl.LOCK_EX)
-            self._depth += 1
-            try:
-                yield
-            finally:
-                self._depth -= 1
-                if self._depth == 0:
-                    fcntl.flock(self._lock_handle.fileno(), fcntl.LOCK_UN)
-                    self._lock_handle.close()
+    def locked(self) -> ioutil.FileLock:
+        return self._lock
 
     def append(self, record: dict) -> None:
         """Durably append one record (write-ahead: fsync before return)."""
-        with self.locked():
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(record, separators=(",", ":"), sort_keys=True)
-                    + "\n"
-                )
-                handle.flush()
-                os.fsync(handle.fileno())
+        with self._lock:
+            ioutil.append(self.path, record)
 
     def ensure_header(self) -> None:
         """Write the version header iff the ledger is new/empty."""
-        with self.locked():
+        with self._lock:
             if not os.path.exists(self.path) or os.path.getsize(self.path) == 0:
                 self.append({"type": "meta", "version": LEDGER_VERSION})
 
@@ -184,85 +161,70 @@ def load_ledger(path: str) -> LedgerState:
     guessing at record types this build predates.
     """
     state = LedgerState()
-    try:
-        handle = open(path, encoding="utf-8")
-    except FileNotFoundError:
-        return state
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
+    torn: list = []
+    for entry in ioutil.read(path, (LEDGER_VERSION, LedgerVersionError), torn):
+        kind = entry.get("type")
+        if kind == "submit":
+            cid = entry.get("cid")
+            if not cid:
+                state.violations.append("submit record without cid")
                 continue
             try:
-                entry = json.loads(line)
-            except ValueError:
-                state.skipped_lines += 1
+                spec = CampaignSpec.from_dict(entry.get("spec") or {})
+            except (ValueError, TypeError) as exc:
+                state.violations.append(f"{cid}: bad spec in submit ({exc})")
                 continue
-            kind = entry.get("type")
-            if kind == "meta":
-                version = entry.get("version")
-                if not isinstance(version, int) or version > LEDGER_VERSION:
-                    raise LedgerVersionError(version, LEDGER_VERSION)
-            elif kind == "submit":
-                cid = entry.get("cid")
-                if not cid:
-                    state.violations.append("submit record without cid")
-                    continue
-                try:
-                    spec = CampaignSpec.from_dict(entry.get("spec") or {})
-                except (ValueError, TypeError) as exc:
-                    state.violations.append(f"{cid}: bad spec in submit ({exc})")
-                    continue
-                if cid in state.campaigns:
-                    state.violations.append(f"{cid}: duplicate submit record")
-                    continue
-                campaign = Campaign(
-                    campaign_id=cid,
-                    spec=spec,
-                    state="submitted",
-                    idempotency_key=entry.get("key"),
-                    submitted_at=float(entry.get("at", 0.0)),
-                    updated_at=float(entry.get("at", 0.0)),
-                    deadline_at=entry.get("deadline_at"),
+            if cid in state.campaigns:
+                state.violations.append(f"{cid}: duplicate submit record")
+                continue
+            campaign = Campaign(
+                campaign_id=cid,
+                spec=spec,
+                state="submitted",
+                idempotency_key=entry.get("key"),
+                submitted_at=float(entry.get("at", 0.0)),
+                updated_at=float(entry.get("at", 0.0)),
+                deadline_at=entry.get("deadline_at"),
+            )
+            state.campaigns[cid] = campaign
+            if campaign.idempotency_key:
+                state.by_key[campaign.idempotency_key] = cid
+        elif kind in ("lease", "renew", "transition"):
+            cid = entry.get("cid")
+            campaign = state.campaigns.get(cid)
+            if campaign is None:
+                state.violations.append(
+                    f"{kind} record for unknown campaign {cid!r}"
                 )
-                state.campaigns[cid] = campaign
-                if campaign.idempotency_key:
-                    state.by_key[campaign.idempotency_key] = cid
-            elif kind in ("lease", "renew", "transition"):
-                cid = entry.get("cid")
-                campaign = state.campaigns.get(cid)
-                if campaign is None:
+                continue
+            if kind == "lease":
+                if campaign.state != "admitted":
                     state.violations.append(
-                        f"{kind} record for unknown campaign {cid!r}"
+                        f"{cid}: lease granted in state {campaign.state!r}"
                     )
-                    continue
-                if kind == "lease":
-                    if campaign.state != "admitted":
-                        state.violations.append(
-                            f"{cid}: lease granted in state {campaign.state!r}"
-                        )
-                    campaign.state = "leased"
-                    campaign.lease_owner = entry.get("owner")
-                    campaign.lease_expires_at = entry.get("expires_at")
-                    campaign.attempts = max(
-                        campaign.attempts, int(entry.get("attempt", 0))
+                campaign.state = "leased"
+                campaign.lease_owner = entry.get("owner")
+                campaign.lease_expires_at = entry.get("expires_at")
+                campaign.attempts = max(
+                    campaign.attempts, int(entry.get("attempt", 0))
+                )
+                campaign.updated_at = float(
+                    entry.get("at", campaign.updated_at)
+                )
+            elif kind == "renew":
+                if campaign.state not in ("leased", "running"):
+                    state.violations.append(
+                        f"{cid}: lease renewed in state {campaign.state!r}"
                     )
-                    campaign.updated_at = float(
-                        entry.get("at", campaign.updated_at)
-                    )
-                elif kind == "renew":
-                    if campaign.state not in ("leased", "running"):
-                        state.violations.append(
-                            f"{cid}: lease renewed in state {campaign.state!r}"
-                        )
-                    else:
-                        campaign.lease_expires_at = entry.get(
-                            "expires_at", campaign.lease_expires_at
-                        )
                 else:
-                    _apply_transition(state, campaign, entry)
-            # Unknown record types within a known version are skipped
-            # silently: the format only ever gains types minor-compatibly.
+                    campaign.lease_expires_at = entry.get(
+                        "expires_at", campaign.lease_expires_at
+                    )
+            else:
+                _apply_transition(state, campaign, entry)
+        # Unknown record types within a known version are skipped
+        # silently: the format only ever gains types minor-compatibly.
+    state.skipped_lines = len(torn)
     return state
 
 

@@ -1,9 +1,9 @@
 """The crash-safe campaign journal: append-only, fsync'd JSONL.
 
-The supervisor writes one JSON record per line, flushed and fsync'd
-before the action it describes takes effect ("write-ahead"): a
-``start`` record before a worker launches, a ``result`` record as soon
-as its outcome is known.  Because appends are the only mutation, a
+The supervisor writes one JSON record per line, fsync'd before the
+action it describes takes effect ("write-ahead"): a ``start`` record
+before a worker launches, a ``result`` record as soon as its outcome is
+known.  Appends follow the log contract of :mod:`repro.ioutil`: a
 SIGKILL at any byte offset costs at most the final, partial line --
 :func:`load_journal` tolerates exactly that and replays the rest, which
 is what makes ``--resume`` safe after a crash of the supervisor itself.
@@ -30,11 +30,11 @@ a pipe, so an orphaned worker can never corrupt it.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
+from repro import ioutil
 from repro.errors import JournalVersionError
 
 #: Version 2 added the fabric outcomes (``short_circuited``,
@@ -67,13 +67,9 @@ class Journal:
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self._handle = open(self.path, "a", encoding="utf-8")
 
     def record(self, entry: dict) -> None:
-        line = json.dumps(entry, separators=(",", ":"), sort_keys=True)
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        ioutil.append(self.path, entry)
 
     # Convenience constructors for the record types -------------------
     def meta(self, n_cells: int) -> None:
@@ -91,8 +87,7 @@ class Journal:
         self.record({"type": "interrupt", "completed": completed})
 
     def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
+        """Nothing to release: every record opens, appends and closes."""
 
     def __enter__(self) -> "Journal":
         return self
@@ -136,33 +131,17 @@ def load_journal(path: str) -> JournalState:
     records this code predates.
     """
     state = JournalState()
-    try:
-        handle = open(path, encoding="utf-8")
-    except FileNotFoundError:
-        return state
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                state.skipped_lines += 1
-                continue
-            kind = entry.get("type")
-            if kind == "meta":
-                version = entry.get("version")
-                if not isinstance(version, int) or version > JOURNAL_VERSION:
-                    raise JournalVersionError(version, JOURNAL_VERSION)
-            elif kind == "start":
-                cell = entry.get("cell")
-                state.attempts[cell] = max(
-                    state.attempts.get(cell, 0), int(entry.get("attempt", 0))
-                )
-            elif kind == "result":
-                cell = entry.get("cell")
-                state.results[cell] = entry
-            elif kind == "interrupt":
-                state.interrupted = True
+    torn: list = []
+    for entry in ioutil.read(path, (JOURNAL_VERSION, JournalVersionError), torn):
+        kind = entry.get("type")
+        if kind == "start":
+            cell = entry.get("cell")
+            state.attempts[cell] = max(
+                state.attempts.get(cell, 0), int(entry.get("attempt", 0))
+            )
+        elif kind == "result":
+            state.results[entry.get("cell")] = entry
+        elif kind == "interrupt":
+            state.interrupted = True
+    state.skipped_lines = len(torn)
     return state
