@@ -1,15 +1,15 @@
 """Wall-clock overhead of durable event recording.
 
-The recorder substrate spills every measurement event to sealed
-CRC32-checksummed chunks and periodically checkpoints the live
-profiler.  The hot path is a ``list.append`` per event -- encoding,
-CRC, and I/O happen only at chunk-seal boundaries -- so the CI gate:
-a recording-enabled run must stay within 5 % of plain profiling on the
-fib kernel (plus a small absolute slack so sub-100 ms runs do not
-flake on scheduler jitter).  A checkpoint-heavy configuration (every
-256 events, forcing many seal+fsync+checkpoint cycles) is timed and
-reported but not gated -- its durability work is the point, not
-overhead.
+The recorder substrate seals every flushed event batch, columns as
+they are, into one CRC32-checksummed chunk (layout: the
+``repro.recorder.chunks`` docstring) and periodically checkpoints the
+live profiler.  There is no per-event recorder work -- header, CRC and
+I/O happen once per batch -- so the CI gate: a recording-enabled run
+must stay within 5 % of plain profiling on the fib kernel (plus a small
+absolute slack so sub-100 ms runs do not flake on scheduler jitter).  A
+checkpoint-heavy configuration (every 256 events, forcing an
+fsync+checkpoint after nearly every sealed batch) is timed and reported
+but not gated -- its durability work is the point, not overhead.
 
 Interleaved min-of-N timing: alternating baseline/recorded repeats
 shares any machine-wide noise between the configurations.

@@ -58,14 +58,22 @@ QUARANTINE_DIR = "quarantine"
 GZIP_MAGIC = b"\x1f\x8b"
 
 
-def canonical_profile_bytes(profile) -> bytes:
-    """The canonical serialized form content addresses are computed on."""
-    data = profile_to_dict(profile)
+def _canonical_bytes(data: dict) -> bytes:
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def canonical_profile_bytes(profile) -> bytes:
+    """The canonical serialized form content addresses are computed on."""
+    return _canonical_bytes(profile_to_dict(profile))
+
+
+def dict_content_hash(data: dict) -> str:
+    """The content address of an exported profile dict."""
+    return hashlib.sha256(_canonical_bytes(data)).hexdigest()
+
+
 def content_hash(profile) -> str:
-    return hashlib.sha256(canonical_profile_bytes(profile)).hexdigest()
+    return dict_content_hash(profile_to_dict(profile))
 
 
 def run_serial(entry: dict) -> int:

@@ -1062,7 +1062,7 @@ def cmd_replay(args) -> int:
         print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     state = "complete" if stream.complete else "partial (no FIN record)"
-    print(f"replayed {len(stream.records)} record(s) from "
+    print(f"replayed {stream.count} record(s) from "
           f"{stream.chunks} sealed chunk(s): stream {state}")
     for note in stream.notes:
         print(f"  note: {note}")

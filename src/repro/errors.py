@@ -242,12 +242,13 @@ class ArchiveWarning(UserWarning):
 class RecordingError(ReproError):
     """A recorded event stream is structurally invalid.
 
-    Raised by the :mod:`repro.recorder` codec when record payloads are
-    malformed (truncated varints, unknown record kinds, references to
-    undefined region ids) and by the replay engine when a stream lacks
-    the ``init`` record replay needs.  Torn *tails* are not errors --
-    chunk recovery truncates those silently -- so this surfacing means
-    corruption inside a CRC-valid chunk or misuse of the codec.
+    Raised by the :mod:`repro.recorder` chunk decoder when a chunk is
+    malformed (columns that disagree with the header, unknown event
+    kinds, out-of-range thread ids, references to undefined region ids)
+    and by the replay engine when a stream lacks the ``init`` record
+    replay needs.  Torn *tails* are not errors -- chunk recovery
+    truncates those silently -- so this surfacing means corruption
+    inside a CRC-valid chunk or a stream that cannot be replayed.
     """
 
     code = "E_RECORDING"

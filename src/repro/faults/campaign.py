@@ -126,7 +126,6 @@ def run_tolerant(
     memory_budget=None,
     record_dir: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
-    chunk_records: Optional[int] = None,
 ) -> SalvageOutcome:
     """Run a kernel, salvaging a partial profile from whatever survives.
 
@@ -156,8 +155,6 @@ def run_tolerant(
         recorder_kwargs = {"record_dir": record_dir}
         if checkpoint_every is not None:
             recorder_kwargs["checkpoint_every"] = checkpoint_every
-        if chunk_records is not None:
-            recorder_kwargs["chunk_records"] = chunk_records
         recorder = RecorderSubstrate(**recorder_kwargs)
         # A configured instance supersedes any bare "recorder" name.
         substrate_list = [s for s in substrate_list if s != "recorder"]

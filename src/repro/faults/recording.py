@@ -6,10 +6,10 @@ and a torn tail is truncated, never misread.  This module attacks that
 promise the same way :mod:`repro.faults.crash` attacks the archive's:
 
 * **exact-point kills** (:func:`record_until_killed`): a subclassed
-  recording substrate SIGKILLs its own process the instant record
-  number ``die_after_records`` is appended -- deterministic down to the
-  event, so a seeded sweep covers chunk boundaries, checkpoint
-  boundaries, and everything between.
+  recording substrate seals exactly ``die_after_records`` records and
+  SIGKILLs its own process -- deterministic down to the event, so a
+  seeded sweep covers chunk boundaries, checkpoint boundaries, and
+  everything between.
 * **honest wall-clock kills** (:func:`crash_recorded_run`): a child
   records real runs in a loop and the parent SIGKILLs it after a seeded
   delay -- kills land wherever they land, including inside OS writes.
@@ -30,6 +30,7 @@ import signal
 import time
 from typing import Optional
 
+from repro.events.batch import EventBatch
 from repro.substrates.recorder import RecorderSubstrate
 
 #: Corruption classes recovery must reduce to a clean prefix.
@@ -39,47 +40,27 @@ RECORDING_CORRUPTION_CLASSES = ("flip_byte", "truncate", "garbage_append")
 class DieAtRecordSubstrate(RecorderSubstrate):
     """A recorder that SIGKILLs its own process at an exact record count.
 
-    Registered under the same ``"recorder"`` name so everything else
-    (runtime injection, salvage discovery) treats it identically.
+    The batch that reaches ``die_after_records`` is cut short: only the
+    rows up to the limit are sealed before the kill.  Registered under
+    the same ``"recorder"`` name so everything else (runtime injection,
+    salvage discovery) treats it identically.
     """
 
     def __init__(self, die_after_records: int, **kwargs) -> None:
         super().__init__(**kwargs)
         self.die_after_records = die_after_records
 
-    def _maybe_die(self) -> None:
-        if self.records == self.die_after_records:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    def _append(self, record: tuple, time: Optional[float] = None) -> None:
-        super()._append(record, time)
-        self._maybe_die()
-
-    # The base class inlines the hot callbacks past `_append` for speed,
-    # so the exact-count kill has to wrap each of them as well.
-    def on_enter(self, *args, **kwargs) -> None:
-        super().on_enter(*args, **kwargs)
-        self._maybe_die()
-
-    def on_exit(self, *args, **kwargs) -> None:
-        super().on_exit(*args, **kwargs)
-        self._maybe_die()
-
-    def on_task_begin(self, *args, **kwargs) -> None:
-        super().on_task_begin(*args, **kwargs)
-        self._maybe_die()
-
-    def on_task_end(self, *args, **kwargs) -> None:
-        super().on_task_end(*args, **kwargs)
-        self._maybe_die()
-
-    def on_task_switch(self, *args, **kwargs) -> None:
-        super().on_task_switch(*args, **kwargs)
-        self._maybe_die()
-
-    def on_metric(self, *args, **kwargs) -> None:
-        super().on_metric(*args, **kwargs)
-        self._maybe_die()
+    def on_batch(self, batch: EventBatch) -> None:
+        room = self.die_after_records - self.records
+        if room > len(batch):
+            super().on_batch(batch)
+            return
+        head = EventBatch(batch.registry)
+        head.codes = batch.codes[:room]
+        head.times = batch.times[:room]
+        head.payloads = {i: p for i, p in batch.payloads.items() if i < room}
+        super().on_batch(head)
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def record_until_killed(
@@ -90,14 +71,13 @@ def record_until_killed(
     size: str = "small",
     seed: int = 0,
     n_threads: int = 2,
-    chunk_records: int = 256,
     checkpoint_every: int = 512,
     archive_dir: Optional[str] = None,
 ) -> dict:
     """Run a recorded kernel and SIGKILL the process mid-record.
 
-    The kill fires deterministically when record ``die_after_records``
-    is appended; if the run is too small to ever reach it, the process
+    The kill fires deterministically once record ``die_after_records``
+    is sealed; if the run is too small to ever reach it, the process
     SIGKILLs itself after the (complete) run instead, so the caller
     always observes a worker dead from signal 9 with salvageable state
     on disk.  ``archive_dir`` is accepted (and ignored here) so call
@@ -110,7 +90,6 @@ def record_until_killed(
     recorder = DieAtRecordSubstrate(
         die_after_records,
         record_dir=record_dir,
-        chunk_records=chunk_records,
         checkpoint_every=checkpoint_every,
     )
     run_tolerant(
@@ -134,7 +113,6 @@ def _record_loop(record_dir: str, app: str, size: str, seed: int, cycles: int) -
             size=size,
             seed=seed,
             record_dir=record_dir,
-            chunk_records=64,
             checkpoint_every=256,
         )
 

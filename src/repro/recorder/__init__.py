@@ -1,12 +1,13 @@
 """Durable event recording, checkpointed salvage, and replay verification.
 
 The recording substrate (:class:`repro.substrates.recorder.RecorderSubstrate`)
-spills every measurement event to sealed CRC32-checksummed chunks and
-periodically checkpoints the live profiler as a canonical-JSON cube
-partial.  This package holds everything around that stream:
+seals every flushed event batch, columns as they are, into one
+CRC32-checksummed chunk and periodically checkpoints the live profiler
+as a canonical-JSON cube partial.  This package holds everything around
+that stream:
 
-* :mod:`~repro.recorder.codec` / :mod:`~repro.recorder.chunks` -- the
-  compact binary framing and torn-tail-tolerant recovery;
+* :mod:`~repro.recorder.chunks` -- the chunk layout (described once,
+  in its docstring) and torn-tail-tolerant recovery;
 * :mod:`~repro.recorder.store` -- the on-disk layout (manifest,
   checkpoint, warm-start generations);
 * :mod:`~repro.recorder.replay` -- stream -> profile reconstruction and
@@ -21,7 +22,6 @@ from repro.recorder.chunks import (
     read_records,
     recover_chunks,
 )
-from repro.recorder.codec import RecordDecoder, RecordEncoder
 from repro.recorder.replay import (
     DivergenceReport,
     diff_profile_dicts,
@@ -60,8 +60,6 @@ __all__ = [
     "RecoveredStream",
     "read_records",
     "recover_chunks",
-    "RecordDecoder",
-    "RecordEncoder",
     "DivergenceReport",
     "diff_profile_dicts",
     "rebuild_profile",

@@ -1,13 +1,12 @@
 """Replay a recorded stream into a profile; verify it byte-identically.
 
-The replay engine is deliberately independent of the live measurement
-path: it feeds decoded records straight into a fresh
-:class:`~repro.profiling.task_profiler.TaskProfiler` (phases and
-metrics included -- concurrency phase maxima and metric counters are
-part of the canonical cube, so skipping them would break byte
-identity).  Region identity holds because the decoder interns regions
-in its own registry, and canonical export reindexes regions by
-(name, type, file, line), so registry handle numbering never matters.
+Replay feeds each decoded chunk's :class:`~repro.events.batch.EventBatch`
+to a fresh :class:`~repro.profiling.task_profiler.TaskProfiler` through
+``on_batch`` -- the consumer the live run uses -- with the phase records
+in between (concurrency phase maxima and metric counters are part of the
+canonical cube, so skipping them would break byte identity).  Region
+identity holds because the decoder interns regions in its own registry,
+pinned to the live run's handles.
 
 ``verify`` is the trust anchor: replay the stream *alone*, canonicalize
 the rebuilt profile, and compare content hashes against what the live
@@ -32,33 +31,22 @@ from repro.recorder.store import events_path, load_manifest
 # ----------------------------------------------------------------------
 # Stream -> profile
 # ----------------------------------------------------------------------
-def find_init(records: List[tuple]) -> Optional[tuple]:
-    for record in records:
-        if record[0] == "init":
-            return record
-    return None
-
-
-def rebuild_profiler(
-    records: List[tuple],
-    *,
-    strict: bool = True,
-    finish_time: Optional[float] = None,
-) -> TaskProfiler:
-    """Drive a fresh profiler with the recorded callbacks.
+def rebuild_profiler(stream: RecoveredStream, *, strict: bool = True) -> TaskProfiler:
+    """Drive a fresh profiler with the recorded batches.
 
     ``strict=True`` demands a complete stream (FIN record) and lets any
     inconsistency raise -- the verification mode.  ``strict=False`` is
     the salvage mode: inconsistencies and in-flight instances at the
     (possibly synthesized) end of stream are quarantined into the
-    profile's salvage report instead.
+    profile's salvage report instead; an incomplete stream ends at its
+    last event.
     """
-    init = find_init(records)
-    if init is None:
+    frames = stream.frames
+    if not frames or not frames[0].records or frames[0].records[0][0] != "init":
         raise RecordingError(
             "recorded stream has no init record; nothing to replay"
         )
-    _, n_threads, start_time, implicit_region, depth = init
+    _, n_threads, start_time, implicit_region, depth = frames[0].records[0]
     profiler = TaskProfiler(
         n_threads,
         implicit_region,
@@ -67,64 +55,27 @@ def rebuild_profiler(
         strict=strict,
     )
     last_time = start_time
-    fin_time: Optional[float] = None
-    for record in records:
-        kind = record[0]
-        if kind == "enter":
-            _, thread_id, time, region, parameter = record
-            profiler.on_enter(thread_id, region, time, parameter)
-            last_time = time
-        elif kind == "exit":
-            _, thread_id, time, region = record
-            profiler.on_exit(thread_id, region, time)
-            last_time = time
-        elif kind == "task_begin":
-            _, thread_id, time, region, instance, parameter = record
-            profiler.on_task_begin(thread_id, region, instance, time, parameter)
-            last_time = time
-        elif kind == "task_end":
-            _, thread_id, time, region, instance = record
-            profiler.on_task_end(thread_id, region, instance, time)
-            last_time = time
-        elif kind == "task_switch":
-            _, thread_id, time, instance = record
-            profiler.on_task_switch(thread_id, instance, time)
-            last_time = time
-        elif kind == "metric":
-            _, thread_id, time, counters = record
-            profiler.on_metric(thread_id, counters, time)
-            last_time = time
-        elif kind == "phase_begin":
-            profiler.on_phase_begin(record[1])
-        elif kind == "phase_end":
-            profiler.on_phase_end(record[1])
-        elif kind == "fin":
-            fin_time = record[1]
-        elif kind == "init":
-            continue
-        else:  # pragma: no cover - decoder only emits known kinds
-            raise RecordingError(f"unknown record kind {kind!r} in replay")
-    if fin_time is None and strict:
+    for records, batch, _fin in frames:
+        for record in records:
+            if record[0] == "phase_begin":
+                profiler.on_phase_begin(record[1])
+            elif record[0] == "phase_end":
+                profiler.on_phase_end(record[1])
+        if batch.times:
+            profiler.on_batch(batch)
+            last_time = batch.times[-1]
+    if strict and not stream.complete:
         raise RecordingError(
             "recorded stream is incomplete (no FIN record); strict replay "
             "requires a complete stream -- use lenient replay to salvage"
         )
-    end = fin_time if fin_time is not None else finish_time
-    if end is None:
-        end = last_time
-    profiler.on_finish(end)
+    end = stream.finish_time
+    profiler.on_finish(last_time if end is None else end)
     return profiler
 
 
-def rebuild_profile(
-    records: List[tuple],
-    *,
-    strict: bool = True,
-    finish_time: Optional[float] = None,
-):
-    return rebuild_profiler(
-        records, strict=strict, finish_time=finish_time
-    ).build_profile()
+def rebuild_profile(stream: RecoveredStream, *, strict: bool = True):
+    return rebuild_profiler(stream, strict=strict).build_profile()
 
 
 def replay_recording(record_dir: str, *, strict: Optional[bool] = None):
@@ -135,14 +86,14 @@ def replay_recording(record_dir: str, *, strict: Optional[bool] = None):
     what a human asking "show me what this recording holds" wants.
     """
     stream = read_records(events_path(record_dir))
-    if not stream.records:
+    if not stream.count:
         raise RecordingError(
             f"no recoverable records in {events_path(record_dir)!r}: "
             + ("; ".join(stream.notes) or "empty stream")
         )
     if strict is None:
         strict = stream.complete
-    profile = rebuild_profile(stream.records, strict=strict)
+    profile = rebuild_profile(stream, strict=strict)
     return profile, stream
 
 
@@ -237,28 +188,21 @@ def verify_recording(
     incomplete (salvaged) one replays leniently, which verifies a
     salvaged partial against what its salvage replay produced.
     """
-    from repro.archive.store import content_hash
+    from repro.archive.store import dict_content_hash
     from repro.cube.export import profile_to_dict
 
     report = DivergenceReport(usable=False, matched=False)
-    stream: RecoveredStream = read_records(events_path(record_dir))
-    report.records = len(stream.records)
+    stream = read_records(events_path(record_dir))
+    report.records = stream.count
     report.chunks = stream.chunks
     report.complete = stream.complete
     report.reasons.extend(stream.notes)
-    if not stream.records:
+    if not stream.count:
         report.reasons.append("no recoverable records in stream")
         return report
     report.strict = stream.complete
     if expected_dict is not None and expected_sha is None:
-        import hashlib
-        import json
-
-        expected_sha = hashlib.sha256(
-            json.dumps(
-                expected_dict, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-        ).hexdigest()
+        expected_sha = dict_content_hash(expected_dict)
     if expected_sha is None:
         manifest = load_manifest(record_dir) or {}
         expected_sha = manifest.get("live_sha256")
@@ -271,7 +215,7 @@ def verify_recording(
             return report
     report.expected_sha = expected_sha
     try:
-        profile = rebuild_profile(stream.records, strict=report.strict)
+        profile = rebuild_profile(stream, strict=report.strict)
     except (ProfileError, RecordingError) as exc:
         report.usable = True  # we had records and an expectation...
         report.reasons.append(f"replay failed: {exc}")
@@ -280,7 +224,7 @@ def verify_recording(
             raise ReplayDivergence(str(exc), report=report) from exc
         return report
     actual = profile_to_dict(profile)
-    report.actual_sha = content_hash(profile)
+    report.actual_sha = dict_content_hash(actual)
     report.usable = True
     report.matched = report.actual_sha == report.expected_sha
     if not report.matched:

@@ -61,12 +61,10 @@ class SalvageResult:
 
 def _salvage_stream(path: str, *, truncate: bool, generation: Optional[int]):
     stream = read_records(path, truncate=truncate)
-    if not stream.records:
+    if not stream.count:
         return None
     try:
-        profile = rebuild_profile(
-            stream.records, strict=False, finish_time=None
-        )
+        profile = rebuild_profile(stream, strict=False)
     except Exception as exc:
         stream.notes.append(f"lenient replay failed: {exc}")
         return None
@@ -74,7 +72,7 @@ def _salvage_stream(path: str, *, truncate: bool, generation: Optional[int]):
         profile=profile,
         source="replay",
         generation=generation,
-        records=len(stream.records),
+        records=stream.count,
         chunks=stream.chunks,
         complete=stream.complete,
         torn_bytes=stream.torn_bytes,

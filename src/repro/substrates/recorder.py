@@ -1,16 +1,20 @@
 """The recording substrate: durable spill of the measurement event stream.
 
-Every POMP2 callback the manager dispatches is appended -- as a plain
-tuple, no encoding on the hot path -- to a :class:`ChunkWriter` that
-seals batches into CRC32-checksummed, sequence-numbered chunks in
-``<record_dir>/events.chunks``.  Periodically (every
-``checkpoint_every`` records) the substrate fsyncs the sealed prefix
-and writes ``checkpoint.json``: a canonical-JSON cube partial snapshot
-of the live profiler plus the stream cursor, via ``atomic_write``.
+Every :class:`~repro.events.batch.EventBatch` the manager flushes is
+sealed, as it is, into one CRC32-checksummed, sequence-numbered chunk
+of ``<record_dir>/events.chunks`` (layout: :mod:`repro.recorder.chunks`).
+Init and phase records ride in the next chunk's header.  Under the
+legacy per-event path (``batch_events=False``) the callbacks append to
+the recorder's own batch, which seals every :data:`LEGACY_SEAL_ROWS`
+events and at phase and finish boundaries.  Once ``checkpoint_every``
+records have sealed since the last checkpoint, the substrate fsyncs the
+stream and writes ``checkpoint.json``: a canonical-JSON cube partial
+snapshot of the live profiler plus the stream cursor, via
+``atomic_write``.
 
 The contract this buys:
 
-* a SIGKILL at any instruction loses at most the unsealed record buffer
+* a SIGKILL at any instruction loses at most the batch being sealed
   (and nothing at all up to the last checkpoint's fsync barrier);
 * the sealed prefix alone reconstructs a valid partial profile
   (:mod:`repro.recorder.replay`), and the checkpoint is a ready-made
@@ -31,14 +35,7 @@ import os
 from typing import Any, Optional
 
 from repro.errors import SubstrateError
-from repro.events.batch import (
-    K_ENTER,
-    K_EXIT,
-    K_TASK_BEGIN,
-    K_TASK_END,
-    K_TASK_SWITCH,
-    EventBatch,
-)
+from repro.events.batch import EventBatch
 from repro.events.model import InstanceId
 from repro.events.regions import Region, RegionRegistry
 from repro.recorder.chunks import ChunkWriter
@@ -51,9 +48,13 @@ from repro.recorder.store import (
 )
 from repro.substrates.base import Substrate
 
+#: Events after which the legacy per-event path seals the recorder's own
+#: batch (the batched path seals each flushed batch as it arrives).
+LEGACY_SEAL_ROWS = 512
+
 
 class RecorderSubstrate(Substrate):
-    """Spills the event stream to sealed chunks + periodic checkpoints.
+    """Seals the event stream into chunks + periodic checkpoints.
 
     Must be constructed with a ``record_dir``; the registry entry exists
     so the name resolves, but an unconfigured instance refuses to
@@ -71,12 +72,11 @@ class RecorderSubstrate(Substrate):
         self,
         record_dir: Optional[str] = None,
         *,
-        chunk_records: int = 512,
         # The sealed stream is the primary durable artifact (flushed
-        # every `chunk_records` appends); checkpoints only speed up
-        # salvage and cover a corrupt-beyond-CRC stream, so their
-        # cadence is coarse: a snapshot costs a few ms, and every 8192
-        # events keeps the amortized cost under a microsecond per event.
+        # after every chunk); checkpoints only speed up salvage and
+        # cover a corrupt-beyond-CRC stream, so their cadence is coarse:
+        # a snapshot costs a few ms, and every 8192 events keeps the
+        # amortized cost under a microsecond per event.
         checkpoint_every: int = 8192,
         per_event_cost: float = 0.0,
     ) -> None:
@@ -85,19 +85,19 @@ class RecorderSubstrate(Substrate):
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
         self.record_dir = record_dir
-        self.chunk_records = chunk_records
         self.checkpoint_every = checkpoint_every
         self.per_event_cost = per_event_cost
         self.profiler = None  # injected by the runtime after initialize
         self.writer: Optional[ChunkWriter] = None
-        self._pending: Optional[list] = None  # the writer's live buffer
+        self._batch: Optional[EventBatch] = None  # the legacy path's batch
         self.records = 0
         self.checkpoints = 0
         self.checkpoint_errors = 0
         self.warm_start: Optional[dict] = None
-        self._init_pending: Optional[tuple] = None
+        self._n_threads = 0
+        self._start_time = 0.0
+        self._init_pending: Optional[Region] = None
         self._next_checkpoint = checkpoint_every
-        self._last_time: float = 0.0
         self._finish_time: Optional[float] = None
 
     # -- lifecycle ------------------------------------------------------
@@ -126,55 +126,50 @@ class RecorderSubstrate(Substrate):
                 "time": previous.get("time"),
                 "cursor": previous.get("cursor"),
             }
-        self.writer = ChunkWriter(
-            events_path(self.record_dir), chunk_records=self.chunk_records
-        )
-        # The writer's buffer is identity-stable (seal() clears it in
-        # place), so the hot callbacks append to it without a method
-        # call per record.
-        self._pending = self.writer.buffer
-        self._last_time = start_time
+        self.writer = ChunkWriter(events_path(self.record_dir), registry)
+        self._batch = EventBatch(registry)
+        self._n_threads = n_threads
+        self._start_time = start_time
         # The INIT record needs the profiler's depth limit, which is
         # injected after manager initialization -- defer it to first use.
-        self._init_pending = (n_threads, start_time, implicit_region)
-        write_manifest(
-            self.record_dir,
-            {
-                "complete": False,
-                "n_threads": n_threads,
-                "start_time": start_time,
-                "chunk_records": self.chunk_records,
-                "checkpoint_every": self.checkpoint_every,
-                "warm_start": self.warm_start,
-            },
-        )
+        self._init_pending = implicit_region
+        write_manifest(self.record_dir, self._manifest(complete=False))
+
+    def _manifest(self, **fields) -> dict:
+        return {
+            "n_threads": self._n_threads,
+            "start_time": self._start_time,
+            "checkpoint_every": self.checkpoint_every,
+            "warm_start": self.warm_start,
+            **fields,
+        }
 
     def _ensure_init(self) -> None:
         if self._init_pending is None:
             return
-        n_threads, start_time, implicit_region = self._init_pending
-        self._init_pending = None
         depth = None
         profiler = self.profiler
         if profiler is not None and profiler.threads:
             depth = profiler.threads[0].max_call_path_depth
-        self.writer.append(("init", n_threads, start_time, implicit_region, depth))
+        self.writer.add_record(
+            ("init", self._n_threads, self._start_time, self._init_pending, depth)
+        )
+        self._init_pending = None
 
-    def _append(self, record: tuple, time: Optional[float] = None) -> None:
-        if self._init_pending is not None:
-            self._ensure_init()
-        pending = self._pending
-        pending.append(record)
-        if len(pending) >= self.chunk_records:
-            self.writer.seal()
-        self.records += 1
-        if time is not None:
-            self._last_time = time
-            if self.records >= self._next_checkpoint:
-                self._checkpoint(time)
+    def _seal(self, batch: EventBatch) -> None:
+        """Seal ``batch`` as one chunk, then checkpoint if one is due."""
+        self._ensure_init()
+        self.writer.seal(batch)
+        self.records += len(batch)
+        if self.records >= self._next_checkpoint and batch.times:
+            self._checkpoint(batch.times[-1])
+
+    def _seal_own(self) -> None:
+        self._seal(self._batch)
+        self._batch.clear()
 
     def _checkpoint(self, time: float) -> None:
-        """Seal + fsync the stream, then snapshot profiler state.
+        """Fsync the stream, then snapshot profiler state.
 
         Checkpoint failures are recorded but never raised: losing a
         checkpoint degrades recovery, it must not abort measurement.
@@ -201,30 +196,20 @@ class RecorderSubstrate(Substrate):
         if self.writer is None or self.writer.closed:
             return
         self._ensure_init()
+        self.records += len(self._batch)
         self._finish_time = time
-        self.writer.close(finish_time=time)
+        self.writer.close(self._batch, finish_time=time)
         write_manifest(
             self.record_dir,
-            {
-                "complete": True,
-                "n_threads": self._manifest_field("n_threads"),
-                "start_time": self._manifest_field("start_time"),
-                "chunk_records": self.chunk_records,
-                "checkpoint_every": self.checkpoint_every,
-                "warm_start": self.warm_start,
-                "finish_time": time,
-                "records": self.records,
-                "chunks": self.writer.sealed_chunks,
-                "checkpoints": self.checkpoints,
-                "checkpoint_errors": self.checkpoint_errors,
-            },
+            self._manifest(
+                complete=True,
+                finish_time=time,
+                records=self.records,
+                chunks=self.writer.sealed_chunks,
+                checkpoints=self.checkpoints,
+                checkpoint_errors=self.checkpoint_errors,
+            ),
         )
-
-    def _manifest_field(self, key: str):
-        from repro.recorder.store import load_manifest
-
-        manifest = load_manifest(self.record_dir) or {}
-        return manifest.get(key)
 
     def artifact(self) -> Any:
         return {
@@ -238,14 +223,29 @@ class RecorderSubstrate(Substrate):
             "warm_start": self.warm_start,
         }
 
-    # -- POMP2 event callbacks ------------------------------------------
-    # The six hot callbacks repeat the `_append` body inline: one Python
-    # frame per event instead of three.  At ~1 us of call overhead saved
-    # per event that is worth the duplication -- it exceeds the entire
-    # amortized encode cost.  `_append` stays as the funnel for the rare
-    # records (phase brackets) and as the subclass hook point; harness
-    # subclasses that must observe every record (DieAtRecordSubstrate)
-    # wrap these callbacks too.
+    # -- the event stream -----------------------------------------------
+    def on_batch(self, batch: EventBatch) -> None:
+        """Seal one flushed batch as one chunk."""
+        self._seal(batch)
+
+    def _phase(self, record: tuple) -> None:
+        if self._batch.codes:
+            self._seal_own()
+        self._ensure_init()
+        self.writer.add_record(record)
+        self.records += 1
+
+    def on_phase_begin(self, name: str) -> None:
+        self._phase(("phase_begin", name))
+
+    def on_phase_end(self, name: str) -> None:
+        self._phase(("phase_end", name))
+
+    # -- legacy per-event path (batch_events=False) ---------------------
+    def _spill(self) -> None:
+        if len(self._batch.codes) >= LEGACY_SEAL_ROWS:
+            self._seal_own()
+
     def on_enter(
         self,
         thread_id: int,
@@ -253,28 +253,12 @@ class RecorderSubstrate(Substrate):
         time: float,
         parameter: Optional[tuple] = None,
     ) -> None:
-        if self._init_pending is not None:
-            self._ensure_init()
-        pending = self._pending
-        pending.append(("enter", thread_id, time, region, parameter))
-        if len(pending) >= self.chunk_records:
-            self.writer.seal()
-        self.records += 1
-        self._last_time = time
-        if self.records >= self._next_checkpoint:
-            self._checkpoint(time)
+        self._batch.add_enter(thread_id, region, time, parameter)
+        self._spill()
 
     def on_exit(self, thread_id: int, region: Region, time: float) -> None:
-        if self._init_pending is not None:
-            self._ensure_init()
-        pending = self._pending
-        pending.append(("exit", thread_id, time, region))
-        if len(pending) >= self.chunk_records:
-            self.writer.seal()
-        self.records += 1
-        self._last_time = time
-        if self.records >= self._next_checkpoint:
-            self._checkpoint(time)
+        self._batch.add_exit(thread_id, region, time)
+        self._spill()
 
     def on_task_begin(
         self,
@@ -284,120 +268,21 @@ class RecorderSubstrate(Substrate):
         time: float,
         parameter: Optional[tuple] = None,
     ) -> None:
-        if self._init_pending is not None:
-            self._ensure_init()
-        pending = self._pending
-        pending.append(("task_begin", thread_id, time, region, instance, parameter))
-        if len(pending) >= self.chunk_records:
-            self.writer.seal()
-        self.records += 1
-        self._last_time = time
-        if self.records >= self._next_checkpoint:
-            self._checkpoint(time)
+        self._batch.add_task_begin(thread_id, region, instance, time, parameter)
+        self._spill()
 
     def on_task_end(
         self, thread_id: int, region: Region, instance: InstanceId, time: float
     ) -> None:
-        if self._init_pending is not None:
-            self._ensure_init()
-        pending = self._pending
-        pending.append(("task_end", thread_id, time, region, instance))
-        if len(pending) >= self.chunk_records:
-            self.writer.seal()
-        self.records += 1
-        self._last_time = time
-        if self.records >= self._next_checkpoint:
-            self._checkpoint(time)
+        self._batch.add_task_end(thread_id, region, instance, time)
+        self._spill()
 
     def on_task_switch(
         self, thread_id: int, instance: InstanceId, time: float
     ) -> None:
-        if self._init_pending is not None:
-            self._ensure_init()
-        pending = self._pending
-        pending.append(("task_switch", thread_id, time, instance))
-        if len(pending) >= self.chunk_records:
-            self.writer.seal()
-        self.records += 1
-        self._last_time = time
-        if self.records >= self._next_checkpoint:
-            self._checkpoint(time)
+        self._batch.add_task_switch(thread_id, instance, time)
+        self._spill()
 
     def on_metric(self, thread_id: int, counters: dict, time: float) -> None:
-        if self._init_pending is not None:
-            self._ensure_init()
-        pending = self._pending
-        pending.append(("metric", thread_id, time, counters))
-        if len(pending) >= self.chunk_records:
-            self.writer.seal()
-        self.records += 1
-        self._last_time = time
-        if self.records >= self._next_checkpoint:
-            self._checkpoint(time)
-
-    def on_phase_begin(self, name: str) -> None:
-        self._append(("phase_begin", name))
-
-    def on_phase_end(self, name: str) -> None:
-        self._append(("phase_end", name))
-
-    # -- columnar fast path ---------------------------------------------
-    #: the per-record hooks a subclass may have wrapped; if any of them
-    #: (or `_append`) is overridden, batches must replay through the
-    #: per-event callbacks so the subclass still observes every record.
-    _BATCH_INLINED = (
-        "on_enter",
-        "on_exit",
-        "on_task_begin",
-        "on_task_end",
-        "on_task_switch",
-        "on_metric",
-        "_append",
-    )
-
-    def on_batch(self, batch: EventBatch) -> None:
-        """Decode a batch straight into the chunk writer's buffer.
-
-        Appends the exact tuples the per-event callbacks would, with the
-        identical per-record seal and checkpoint cadence (``records`` /
-        ``_next_checkpoint`` advance one record at a time), so sealed
-        chunk boundaries and checkpoint contents are byte-identical to a
-        legacy per-event run.  Subclasses that override any hot callback
-        or ``_append`` (fault-injection harnesses count records that
-        way) get the per-event replay shim instead.
-        """
-        cls = type(self)
-        if cls is not RecorderSubstrate and any(
-            getattr(cls, name) is not getattr(RecorderSubstrate, name)
-            for name in self._BATCH_INLINED
-        ):
-            return super().on_batch(batch)
-        if self._init_pending is not None:
-            self._ensure_init()
-        pending = self._pending
-        chunk_records = self.chunk_records
-        seal = self.writer.seal
-        records = self.records
-        for kind, thread_id, region, time, instance, payload in batch.rows():
-            if kind == K_ENTER:
-                pending.append(("enter", thread_id, time, region, payload))
-            elif kind == K_EXIT:
-                pending.append(("exit", thread_id, time, region))
-            elif kind == K_TASK_BEGIN:
-                pending.append(
-                    ("task_begin", thread_id, time, region, instance, payload)
-                )
-            elif kind == K_TASK_END:
-                pending.append(("task_end", thread_id, time, region, instance))
-            elif kind == K_TASK_SWITCH:
-                pending.append(("task_switch", thread_id, time, instance))
-            else:
-                pending.append(("metric", thread_id, time, payload))
-            if len(pending) >= chunk_records:
-                seal()
-            records += 1
-            self._last_time = time
-            if records >= self._next_checkpoint:
-                self.records = records
-                self._checkpoint(time)
-        self.records = records
+        self._batch.add_metric(thread_id, counters, time)
+        self._spill()

@@ -27,7 +27,6 @@ def test_die_at_exact_record_count_leaves_salvageable_prefix(tmp_path):
         kwargs={
             "record_dir": record_dir,
             "die_after_records": 600,
-            "chunk_records": 128,
             "checkpoint_every": 512,
         },
     )

@@ -7,8 +7,8 @@ ISSUE acceptance criteria, end to end:
 * ``events_dispatched`` agrees between the two paths (the satellite
   fix: batched dispatch counts individual events, not flushes);
 * a *recorded* batched run replays and verifies MATCH;
-* the recorder's wire region ids are the live registry handles -- one
-  shared intern table, no double interning (satellite fix).
+* the recorder's on-disk region ids are the live registry handles --
+  one shared intern table, no double interning.
 """
 
 import json
@@ -18,10 +18,11 @@ import pytest
 from repro.analysis.experiment import run_app
 from repro.archive.store import content_hash
 from repro.cube.export import profile_to_dict
+from repro.events.batch import EventBatch
 from repro.events.regions import RegionRegistry, RegionType
 from repro.faults.campaign import run_tolerant
 from repro.recorder import verify_recording
-from repro.recorder.codec import RecordDecoder, RecordEncoder
+from repro.recorder.chunks import ChunkWriter, recover_chunks
 
 APPS = ["fib", "sort", "nqueens"]
 
@@ -71,36 +72,34 @@ def test_recorded_batched_run_verifies_match(tmp_path):
     assert report.exit_code == 0
 
 
-def test_codec_uses_live_registry_handles():
-    """Wire region ids are the registry handles -- one intern table."""
+def test_recorded_chunks_use_live_registry_handles(tmp_path):
+    """Chunk region ids are the registry handles -- one intern table."""
     reg = RegionRegistry()
     # Burn a few handles first so region handles are not accidentally
-    # equal to a dense 0..n-1 renumbering an encoder-private table
+    # equal to a dense 0..n-1 renumbering a writer-private table
     # would produce.
     for i in range(5):
         reg.register(f"burn{i}", RegionType.FUNCTION)
     a = reg.register("alpha", RegionType.FUNCTION, file="a.py", line=1)
     b = reg.register("beta", RegionType.TASK)
-    records = [
-        ("enter", 0, 1.0, a, None),
-        ("task_begin", 1, 2.0, b, 7, None),
-        ("task_end", 1, 3.0, b, 7),
-        ("exit", 0, 4.0, a),
-    ]
-    payload = RecordEncoder().encode(records)
-    decoder = RecordDecoder()
-    decoded = decoder.decode(payload)
+    batch = EventBatch(reg)
+    batch.add_enter(0, a, 1.0)
+    batch.add_task_begin(1, b, 7, 2.0)
+    batch.add_task_end(1, b, 7, 3.0)
+    batch.add_exit(0, a, 4.0)
+    path = str(tmp_path / "events.chunks")
+    writer = ChunkWriter(path, reg)
+    writer.add_record(("init", 2, 0.0, a, None))
+    writer.seal(batch)
+    writer.close(finish_time=5.0)
+    stream = recover_chunks(path)
+    replayed = stream.frames[0].batch
 
-    da = decoded[0][3]
-    db = decoded[1][3]
+    # The columns come back byte for byte: same packed codes, same times.
+    assert replayed.codes == batch.codes and replayed.times == batch.times
+    da = replayed.registry.lookup(a.handle)
+    db = replayed.registry.lookup(b.handle)
     assert (da.name, db.name) == ("alpha", "beta")
-    # The decoded regions carry the *live* handles, pinned from the wire.
-    assert da.handle == a.handle
-    assert db.handle == b.handle
-    assert decoder.registry.lookup(a.handle) is da
-    assert decoder.registry.lookup(b.handle) is db
-    # And re-encoding the same region emits no second REGION_DEF.
-    enc = RecordEncoder()
-    first = enc.encode([("enter", 0, 1.0, a, None)])
-    second = enc.encode([("exit", 0, 2.0, a)])
-    assert len(second) < len(first)
+    # The replayed regions carry the *live* handles, pinned from disk.
+    assert (da.handle, db.handle) == (a.handle, b.handle)
+    assert [row[2] for row in replayed.rows()] == [da, db, db, da]

@@ -11,49 +11,51 @@ import pytest
 from repro.faults.recording import RECORDING_CORRUPTION_CLASSES, corrupt_recording
 from repro.recorder.chunks import (
     HEADER,
-    ChunkWriter,
     read_records,
     recover_chunks,
 )
 from repro.recorder.store import events_path
 
-from tests.recorder.streams import comparable, random_records
-
-
-def _write_stream(path, records, *, chunk_records=8, finish_time=999.0):
-    writer = ChunkWriter(str(path), chunk_records=chunk_records)
-    for record in records:
-        writer.append(record)
-    writer.close(finish_time=finish_time)
+from tests.recorder.streams import (
+    comparable,
+    random_records,
+    write_records,
+    write_stream,
+)
 
 
 @pytest.fixture()
 def sealed(tmp_path):
-    records = random_records(5, 40, with_fin=False)
     path = tmp_path / "events.chunks"
-    _write_stream(path, records)
+    write_stream(str(path), 5, 40)
     return path
 
 
 # ----------------------------------------------------------------------
 # Clean round trip
 # ----------------------------------------------------------------------
-def test_write_read_round_trip(sealed):
-    records = random_records(5, 40, with_fin=False)
-    stream = recover_chunks(str(sealed))
+def test_write_read_round_trip(tmp_path):
+    path = tmp_path / "events.chunks"
+    records = write_stream(str(path), 5, 40)
+    stream = recover_chunks(str(path))
     assert stream.header_ok and not stream.torn_bytes
     assert stream.complete and stream.finish_time == 999.0
-    got = [comparable(r) for r in stream.records]
-    assert got[:-1] == [comparable(r) for r in records]
-    assert got[-1][0] == "fin"
+    assert [comparable(r) for r in stream.records] == [comparable(r) for r in records]
+    assert stream.records[-1][0] == "fin"
 
 
-def test_chunk_count_matches_batching(sealed):
-    stream = recover_chunks(str(sealed))
-    # 41 input records + fin = 42, sealed in batches of 8 -> 6 chunks
-    # (close seals the final short batch).
-    assert stream.chunks == 6
-    assert len(stream.records) == 42
+def test_chunk_count_matches_batching(tmp_path):
+    registry, records = random_records(5, 40)
+    path = str(tmp_path / "events.chunks")
+    writer, batch = write_records(path, registry, records)
+    sealed_chunks = writer.sealed_chunks
+    writer.close(batch, finish_time=999.0)
+    stream = recover_chunks(path)
+    # every sealed batch is one chunk; close seals the tail + FIN as one more
+    assert stream.chunks == sealed_chunks + 1 == writer.sealed_chunks
+    # init + 40 records + fin, each counted once
+    assert stream.count == len(stream.records) == 42
+    assert writer.cursor() == {"chunks": stream.chunks, "records": 42}
 
 
 # ----------------------------------------------------------------------
@@ -62,7 +64,7 @@ def test_chunk_count_matches_batching(sealed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_truncation_at_every_byte_yields_clean_prefix(tmp_path, seed):
     path = tmp_path / "events.chunks"
-    _write_stream(path, random_records(seed, 40, with_fin=False))
+    write_stream(str(path), seed, 40)
     data = path.read_bytes()
     expected = [comparable(r) for r in recover_chunks(str(path)).records]
     torn = tmp_path / "torn.chunks"
@@ -71,6 +73,7 @@ def test_truncation_at_every_byte_yields_clean_prefix(tmp_path, seed):
         stream = recover_chunks(str(torn))  # must never raise
         got = [comparable(r) for r in stream.records]
         assert got == expected[: len(got)], f"corrupt prefix at cut={cut}"
+        assert stream.count == len(got)
         assert stream.good_bytes <= max(cut, len(HEADER))
         assert stream.complete == (cut == len(data))
         if cut < len(HEADER):
@@ -79,7 +82,7 @@ def test_truncation_at_every_byte_yields_clean_prefix(tmp_path, seed):
 
 def test_truncate_flag_repairs_file_in_place(tmp_path):
     path = tmp_path / "events.chunks"
-    _write_stream(path, random_records(9, 40, with_fin=False))
+    write_stream(str(path), 9, 40)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 7])  # tear mid-final-chunk
     stream = read_records(str(path), truncate=True)
@@ -87,7 +90,7 @@ def test_truncate_flag_repairs_file_in_place(tmp_path):
     assert path.stat().st_size == stream.good_bytes
     again = read_records(str(path))
     assert not again.notes and not again.torn_bytes
-    assert len(again.records) == len(stream.records)
+    assert again.count == stream.count
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +101,7 @@ def test_truncate_flag_repairs_file_in_place(tmp_path):
 def test_corruption_reduces_to_clean_prefix(tmp_path, kind, seed):
     record_dir = tmp_path / "rec"
     record_dir.mkdir()
-    _write_stream(events_path(str(record_dir)), random_records(seed, 60, with_fin=False))
+    write_stream(events_path(str(record_dir)), seed, 60)
     intact = recover_chunks(events_path(str(record_dir)))
     expected = [comparable(r) for r in intact.records]
 
@@ -137,16 +140,16 @@ def test_unsupported_version_refused(sealed):
 
 def test_sigkill_loses_at_most_the_unsealed_buffer(tmp_path):
     """Abandoning a writer (no close) keeps every sealed chunk."""
-    records = random_records(11, 40, with_fin=False)
+    registry, records = random_records(11, 40)
     path = tmp_path / "events.chunks"
-    writer = ChunkWriter(str(path), chunk_records=8)
-    for record in records:
-        writer.append(record)
-    # 41 records: 5 sealed chunks of 8, 1 record still buffered
-    assert writer.pending_records == 1
+    writer, batch = write_records(str(path), registry, records)
+    sealed = writer.sealed_records
+    assert len(batch) > 0  # a short batch is still unsealed
+    assert sealed <= len(records) - len(batch)
     del writer  # simulate death without close/seal
     stream = recover_chunks(str(path))
-    assert len(stream.records) == 40
+    assert stream.count == sealed
+    assert not stream.complete
     assert [comparable(r) for r in stream.records] == [
-        comparable(r) for r in records[:40]
+        comparable(r) for r in records[:sealed]
     ]

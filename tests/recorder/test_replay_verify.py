@@ -15,7 +15,7 @@ from repro.recorder import (
 from repro.recorder.chunks import read_records
 from repro.recorder.store import events_path, load_manifest
 
-from tests.recorder.streams import random_records
+from tests.recorder.streams import write_stream
 
 
 @pytest.fixture(scope="module")
@@ -116,13 +116,8 @@ def test_empty_dir_is_unusable(tmp_path):
 
 
 def test_no_expectation_is_unusable(tmp_path):
-    from repro.recorder.chunks import ChunkWriter
-
     tmp_path.mkdir(exist_ok=True)
-    writer = ChunkWriter(events_path(str(tmp_path)), chunk_records=8)
-    for record in random_records(0, 20, with_fin=False):
-        writer.append(record)
-    writer.close(finish_time=50.0)
+    write_stream(events_path(str(tmp_path)), 0, 20, finish_time=50.0)
     report = verify_recording(str(tmp_path))  # no manifest, no --against
     assert not report.usable and report.exit_code == 2
     assert any("no expectation" in reason for reason in report.reasons)
@@ -130,8 +125,8 @@ def test_no_expectation_is_unusable(tmp_path):
 
 def test_strict_replay_requires_fin(recorded, tmp_path):
     record_dir, _ = recorded
-    stream = read_records(events_path(record_dir))
-    no_fin = [r for r in stream.records if r[0] != "fin"]
+    no_fin = read_records(events_path(record_dir))
+    no_fin.frames[-1] = no_fin.frames[-1]._replace(fin=None)
     with pytest.raises(RecordingError):
         rebuild_profile(no_fin, strict=True)
     partial = rebuild_profile(no_fin, strict=False)
