@@ -61,6 +61,19 @@ def _first_chunk(header, codes=(), times=()):
     return _payload({"regions": [MAIN], "records": [INIT], **header}, codes, times)
 
 
+def _read_payloads(path):
+    """The chunk payloads of a stream file, in order."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    payloads, offset = [], len(MAGIC) + 1
+    while offset < len(data):
+        _, length, _ = struct.unpack_from("<III", data, offset)
+        offset += 12
+        payloads.append(data[offset:offset + length])
+        offset += length
+    return payloads
+
+
 def _undecodable(tmp_path, payloads):
     """Recover a hand-built stream whose last chunk must be refused."""
     path = events_path(str(tmp_path))
@@ -227,15 +240,24 @@ def test_column_lengths_must_agree_with_header(tmp_path):
     assert "column lengths disagree" in stream.notes[0]
 
 
-def test_truncated_payload_is_undecodable_at_every_cut(tmp_path):
-    """Any cut of a chunk payload, re-framed with a valid CRC, is refused
-    -- it must never decode to wrong records."""
-    codes = [pack_code(K_ENTER, 0, 1), pack_code(K_ENTER, 1, 1)]
-    payload = _first_chunk({"rows": 2}, codes, [1.0, 2.0])
-    for cut in range(len(payload)):
-        _undecodable(tmp_path, [payload[:cut]])
-    _write_chunks(events_path(str(tmp_path)), [payload])
-    assert recover_chunks(events_path(str(tmp_path))).count == 3
+@pytest.mark.parametrize("seed", [0, 3])
+def test_truncated_payload_is_undecodable_at_every_cut(tmp_path, seed):
+    """Any cut of any chunk payload in a random stream, re-framed with a
+    valid CRC, is refused -- it must never decode to wrong records, and
+    the chunks before it stay a trusted, exact prefix."""
+    path = events_path(str(tmp_path))
+    write_stream(path, seed, 30)
+    full = recover_chunks(path)
+    payloads = _read_payloads(path)
+    assert len(payloads) == full.chunks > 1
+    for index, payload in enumerate(payloads):
+        for cut in range(len(payload)):
+            stream = _undecodable(tmp_path, payloads[:index] + [payload[:cut]])
+            assert [comparable(r) for r in stream.records] == [
+                comparable(r) for r in full.records[: len(stream.records)]
+            ]
+    _write_chunks(path, payloads)
+    assert recover_chunks(path).count == full.count
 
 
 def test_version_one_stream_is_refused(tmp_path):
