@@ -1,11 +1,10 @@
 """Columnar event batches: the struct-of-arrays hot-path representation.
 
-The legacy measurement chain dispatched one Python call per POMP2 event
-through every layer (runtime -> instrumentation -> manager -> each
-substrate), allocating argument tuples and paying several function-call
-frames per event.  TASKPROF's lesson (and Score-P's) is that a profiler
-stays near-native only if the per-event path is tiny and analysis is
-deferred; an :class:`EventBatch` is that deferral.
+TASKPROF's lesson (and Score-P's) is that a profiler stays near-native
+only if the per-event path is tiny and analysis is deferred; an
+:class:`EventBatch` is that deferral.  It is the one representation the
+live event path uses: the instrumentation layer fills it, the substrate
+manager fans it out, and the recorder seals it to disk as it is.
 
 An event is **one append to each of two flat columns**:
 
@@ -15,7 +14,8 @@ An event is **one append to each of two flat columns**:
         bits  0..2   kind (K_ENTER .. K_METRIC)
         bit   3      payload flag (parameter tuple / counters dict
                      present in the sparse ``payloads`` side table)
-        bits  4..13  thread id      (10 bits, < 1024 threads)
+        bits  4..13  thread id      (10 bits, <= 1024 threads; enforced
+                     by ``RuntimeConfig``)
         bits 14..33  region id      (20 bits; the *interned*
                      ``Region.handle`` from the process-wide
                      :class:`~repro.events.regions.RegionRegistry` --
@@ -61,7 +61,7 @@ F_PAYLOAD = 8
 
 KIND_MASK = 7
 TID_SHIFT = 4
-TID_MASK = 0x3FF  # 10 bits -> max 1023 threads
+TID_MASK = 0x3FF  # 10 bits -> thread ids 0..1023
 RID_SHIFT = 14
 RID_MASK = 0xFFFFF  # 20 bits -> ~1M interned regions
 INST_SHIFT = 34
@@ -203,8 +203,8 @@ class EventBatch:
         self.payloads[len(self.codes)] = counters
         self.codes.append(K_METRIC | (thread_id << TID_SHIFT) | F_PAYLOAD)
         self.times.append(time)
-        # metrics are not counted: they add no per-event cost and the
-        # legacy manager never tallied them in events_delivered.
+        # metrics are not counted: they piggyback on an existing event
+        # boundary, add no per-event cost and are not in events_delivered.
 
     # -- decoding ------------------------------------------------------
     def rows(self) -> Iterator[Tuple[int, int, object, float, int, object]]:

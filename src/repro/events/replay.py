@@ -4,7 +4,7 @@ The live measurement path feeds the profiler directly from the simulated
 runtime; the salvage pipeline instead *records* (possibly corrupt) event
 streams, repairs them offline, and then replays the repaired events into
 a fresh lenient profiler.  Replay is the inverse of
-:class:`~repro.instrument.pomp2.RecordingListener`: each event record is
+:class:`~repro.substrates.tracing.TracingSubstrate`: each event record is
 turned back into the listener callback that produced it.
 """
 

@@ -11,24 +11,23 @@ construct boundary.  The layer
 
 * charges the per-event instrumentation cost to the executing simulated
   thread (this is what the overhead evaluation of Section V measures),
-* optionally records the event into a :class:`~repro.events.stream.ProgramTrace`,
-* forwards the event to a POMP2-style listener -- usually the
-  :class:`~repro.profiling.task_profiler.TaskProfiler`.
+* packs the event into a columnar :class:`~repro.events.batch.EventBatch`,
+* hands each filled batch to its listener -- the
+  :class:`~repro.substrates.manager.SubstrateManager`, which fans it out
+  to the profiling, tracing and other substrates.
 
 :mod:`repro.instrument.ast_instrumenter` is the compiler-instrumentation
 analogue: an AST source-to-source pass inserting enter/exit hooks into
 plain Python functions.
 """
 
-from repro.instrument.pomp2 import MulticastListener, NullListener, Pomp2Listener
+from repro.instrument.pomp2 import Pomp2Listener
 from repro.instrument.filtering import MANAGEMENT_REGIONS_FILTER, RegionFilter
 from repro.instrument.layer import InstrumentationLayer
 from repro.instrument.ast_instrumenter import instrument_source, instrument_function
 
 __all__ = [
     "Pomp2Listener",
-    "NullListener",
-    "MulticastListener",
     "InstrumentationLayer",
     "RegionFilter",
     "MANAGEMENT_REGIONS_FILTER",

@@ -21,6 +21,7 @@ from typing import Optional
 
 from repro.events.batch import (
     F_PAYLOAD,
+    INST_SHIFT,
     K_ENTER,
     K_EXIT,
     K_METRIC,
@@ -34,145 +35,15 @@ from repro.events.batch import (
 )
 from repro.events.model import InstanceId
 from repro.events.regions import Region
-from repro.instrument.pomp2 import MulticastListener, NullListener, Pomp2Listener
 
 
 class InstrumentationLayer:
-    """Charges instrumentation cost and forwards events to the listener."""
+    """Charges instrumentation cost and fills events into an :class:`EventBatch`.
 
-    __slots__ = ("enabled", "per_event_cost", "listener", "events_dispatched", "filter")
-
-    def __init__(
-        self,
-        enabled: bool = True,
-        per_event_cost: float = 0.0,
-        listener: Optional[Pomp2Listener] = None,
-        region_filter=None,
-    ) -> None:
-        self.enabled = enabled
-        #: configured per-event cost; the *effective* cost additionally
-        #: depends on ``enabled`` (see :attr:`cost`), so toggling
-        #: ``enabled`` after construction behaves correctly.
-        self.per_event_cost = per_event_cost
-        self.listener: Pomp2Listener = listener if listener is not None else NullListener()
-        #: total events forwarded (statistics for the overhead analysis)
-        self.events_dispatched = 0
-        #: optional RegionFilter suppressing enter/exit events (Score-P
-        #: filtering); task lifecycle events are never filtered
-        self.filter = region_filter
-
-    # ------------------------------------------------------------------
-    @property
-    def cost(self) -> float:
-        """Virtual µs the executing thread pays per event (0 if disabled)."""
-        return self.per_event_cost if self.enabled else 0.0
-
-    def region_cost(self, region: Region) -> float:
-        """Per-event cost for a region event, honoring the filter."""
-        if not self.enabled or self.per_event_cost == 0.0:
-            return 0.0
-        if self.filter is not None and not self.filter.measures(region):
-            return 0.0
-        return self.per_event_cost
-
-    def add_listener(self, listener: Pomp2Listener) -> None:
-        """Attach an extra listener (wraps into a multicast on demand)."""
-        if isinstance(self.listener, NullListener):
-            self.listener = listener
-        elif isinstance(self.listener, MulticastListener):
-            self.listener.add(listener)
-        else:
-            self.listener = MulticastListener([self.listener, listener])
-
-    # ------------------------------------------------------------------
-    # Dispatch (no-ops when disabled)
-    # ------------------------------------------------------------------
-    def enter(
-        self, thread_id: int, region: Region, time: float, parameter: Optional[tuple] = None
-    ) -> None:
-        if not self.enabled:
-            return
-        if self.filter is not None and not self.filter.measures(region):
-            self.filter.note_suppressed()
-            return
-        self.events_dispatched += 1
-        self.listener.on_enter(thread_id, region, time, parameter)
-
-    def exit(self, thread_id: int, region: Region, time: float) -> None:
-        if not self.enabled:
-            return
-        if self.filter is not None and not self.filter.measures(region):
-            self.filter.note_suppressed()
-            return
-        self.events_dispatched += 1
-        self.listener.on_exit(thread_id, region, time)
-
-    def task_begin(
-        self,
-        thread_id: int,
-        region: Region,
-        instance: InstanceId,
-        time: float,
-        parameter: Optional[tuple] = None,
-    ) -> None:
-        if not self.enabled:
-            return
-        self.events_dispatched += 1
-        self.listener.on_task_begin(thread_id, region, instance, time, parameter)
-
-    def task_end(
-        self, thread_id: int, region: Region, instance: InstanceId, time: float
-    ) -> None:
-        if not self.enabled:
-            return
-        self.events_dispatched += 1
-        self.listener.on_task_end(thread_id, region, instance, time)
-
-    def task_switch(self, thread_id: int, instance: InstanceId, time: float) -> None:
-        if not self.enabled:
-            return
-        self.events_dispatched += 1
-        self.listener.on_task_switch(thread_id, instance, time)
-
-    def metric(self, thread_id: int, counters: dict, time: float) -> None:
-        """Custom counters; piggy-backs on an existing event boundary, so
-        it adds no extra per-event cost of its own."""
-        if not self.enabled:
-            return
-        self.listener.on_metric(thread_id, counters, time)
-
-    def phase_begin(self, name: str) -> None:
-        if self.enabled:
-            self.listener.on_phase_begin(name)
-
-    def phase_end(self, name: str) -> None:
-        if self.enabled:
-            self.listener.on_phase_end(name)
-
-    def finish(self, time: float) -> None:
-        if self.enabled:
-            self.listener.on_finish(time)
-
-    # ------------------------------------------------------------------
-    # Batch protocol stubs (no-ops on the legacy per-event layer, so the
-    # runtime can call them unconditionally at scheduling points)
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        pass
-
-    def sched_point(self) -> None:
-        pass
-
-
-class BatchedInstrumentationLayer(InstrumentationLayer):
-    """Columnar-fill variant: events append to an :class:`EventBatch`.
-
-    Instead of forwarding every event as a listener method call, this
-    layer packs it into the batch's two flat columns (one int append,
-    one float append) and defers dispatch until :meth:`flush` hands the
-    whole batch to ``listener.on_batch`` -- the listener must therefore
-    implement the batch protocol (the
-    :class:`~repro.substrates.manager.SubstrateManager` does).
+    Each event is packed into the batch's two flat columns (one int
+    append, one float append); dispatch is deferred until :meth:`flush`
+    hands the whole batch to ``listener.on_batch`` -- in a run the
+    listener is the :class:`~repro.substrates.manager.SubstrateManager`.
 
     Flush boundaries:
 
@@ -189,33 +60,66 @@ class BatchedInstrumentationLayer(InstrumentationLayer):
       flush first, so phase markers and finalization observe a fully
       drained stream.
 
-    ``events_dispatched`` counts *individual events*, exactly as the
-    per-event layer does -- batching changes when events are consumed,
-    never how many were measured.
+    ``events_dispatched`` counts *individual events*, not flushes.
     """
 
-    __slots__ = ("batch", "flush_threshold", "capacity")
+    __slots__ = (
+        "enabled",
+        "per_event_cost",
+        "listener",
+        "events_dispatched",
+        "filter",
+        "batch",
+        "flush_threshold",
+        "capacity",
+    )
 
     def __init__(
         self,
         enabled: bool = True,
         per_event_cost: float = 0.0,
-        listener: Optional[Pomp2Listener] = None,
+        listener=None,
         region_filter=None,
         *,
         registry=None,
         flush_threshold: int = 1024,
         capacity: int = 8192,
     ) -> None:
-        super().__init__(enabled, per_event_cost, listener, region_filter)
         if flush_threshold < 1 or capacity < flush_threshold:
             raise ValueError(
                 "need 1 <= flush_threshold <= capacity, got "
                 f"flush_threshold={flush_threshold} capacity={capacity}"
             )
+        self.enabled = enabled
+        #: configured per-event cost; the *effective* cost additionally
+        #: depends on ``enabled`` (see :attr:`cost`), so toggling
+        #: ``enabled`` after construction behaves correctly.
+        self.per_event_cost = per_event_cost
+        #: receives ``on_batch`` / ``on_phase_begin`` / ``on_phase_end`` /
+        #: ``on_finish``; a disabled layer needs none
+        self.listener = listener
+        #: total events forwarded (statistics for the overhead analysis)
+        self.events_dispatched = 0
+        #: optional RegionFilter suppressing enter/exit events (Score-P
+        #: filtering); task lifecycle events are never filtered
+        self.filter = region_filter
         self.batch = EventBatch(registry)
         self.flush_threshold = flush_threshold
         self.capacity = capacity
+
+    # ------------------------------------------------------------------
+    @property
+    def cost(self) -> float:
+        """Virtual µs the executing thread pays per event (0 if disabled)."""
+        return self.per_event_cost if self.enabled else 0.0
+
+    def region_cost(self, region: Region) -> float:
+        """Per-event cost for a region event, honoring the filter."""
+        if not self.enabled or self.per_event_cost == 0.0:
+            return 0.0
+        if self.filter is not None and not self.filter.measures(region):
+            return 0.0
+        return self.per_event_cost
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
@@ -231,7 +135,7 @@ class BatchedInstrumentationLayer(InstrumentationLayer):
             self.flush()
 
     # ------------------------------------------------------------------
-    # Columnar fill (overrides the forwarding dispatch methods)
+    # Columnar fill (no-ops when disabled)
     # ------------------------------------------------------------------
     def enter(
         self, thread_id: int, region: Region, time: float, parameter: Optional[tuple] = None
@@ -288,7 +192,7 @@ class BatchedInstrumentationLayer(InstrumentationLayer):
             K_TASK_BEGIN
             | (thread_id << TID_SHIFT)
             | (region.handle << RID_SHIFT)
-            | (zigzag(instance) << 34)
+            | (zigzag(instance) << INST_SHIFT)
         )
         if parameter is not None:
             batch.payloads[len(batch.codes)] = parameter
@@ -311,7 +215,7 @@ class BatchedInstrumentationLayer(InstrumentationLayer):
             K_TASK_END
             | (thread_id << TID_SHIFT)
             | (region.handle << RID_SHIFT)
-            | (zigzag(instance) << 34)
+            | (zigzag(instance) << INST_SHIFT)
         )
         batch.times.append(time)
         batch.counted += 1
@@ -325,7 +229,7 @@ class BatchedInstrumentationLayer(InstrumentationLayer):
         self.events_dispatched += 1
         batch = self.batch
         batch.codes.append(
-            K_TASK_SWITCH | (thread_id << TID_SHIFT) | (zigzag(instance) << 34)
+            K_TASK_SWITCH | (thread_id << TID_SHIFT) | (zigzag(instance) << INST_SHIFT)
         )
         batch.times.append(time)
         batch.counted += 1
@@ -333,6 +237,8 @@ class BatchedInstrumentationLayer(InstrumentationLayer):
             self.flush()
 
     def metric(self, thread_id: int, counters: dict, time: float) -> None:
+        """Custom counters; piggy-backs on an existing event boundary, so
+        it is neither counted nor charged a per-event cost of its own."""
         if not self.enabled:
             return
         batch = self.batch
@@ -356,3 +262,8 @@ class BatchedInstrumentationLayer(InstrumentationLayer):
         if self.enabled:
             self.flush()
             self.listener.on_finish(time)
+
+
+#: ``perfbench/layers.py`` wraps ``BatchedInstrumentationLayer.flush`` to
+#: count flushes; the name stays bound to the one layer class for it.
+BatchedInstrumentationLayer = InstrumentationLayer

@@ -1,16 +1,17 @@
-"""The POMP2-style listener protocol and basic listeners.
+"""The POMP2-style per-event listener protocol.
 
 A listener receives the measurement events the instrumented application
-produces.  :class:`~repro.profiling.task_profiler.TaskProfiler` is the
-production listener; :class:`NullListener` discards everything (the
-"uninstrumented" run still routes through it so both configurations take
-the same code path); :class:`MulticastListener` fans out to several
-listeners (e.g. profiler + event-stream recorder).
+produces, one call per event.  :class:`~repro.profiling.task_profiler.TaskProfiler`
+implements it: its own ``on_batch`` decodes columnar batches into these
+calls in lenient and governed runs, and :mod:`repro.events.replay`
+drives it from a recorded :class:`~repro.events.stream.ProgramTrace`.
+The live instrumentation layer does not call it per event -- it fills an
+:class:`~repro.events.batch.EventBatch` and hands that over whole.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 from repro.events.model import InstanceId
 from repro.events.regions import Region
@@ -48,145 +49,3 @@ class Pomp2Listener(Protocol):
     def on_phase_end(self, name: str) -> None: ...
 
     def on_finish(self, time: float) -> None: ...
-
-
-class NullListener:
-    """Discards all events (used for uninstrumented baseline runs)."""
-
-    def on_enter(self, thread_id, region, time, parameter=None) -> None:
-        pass
-
-    def on_exit(self, thread_id, region, time) -> None:
-        pass
-
-    def on_task_begin(self, thread_id, region, instance, time, parameter=None) -> None:
-        pass
-
-    def on_task_end(self, thread_id, region, instance, time) -> None:
-        pass
-
-    def on_task_switch(self, thread_id, instance, time) -> None:
-        pass
-
-    def on_metric(self, thread_id, counters, time) -> None:
-        pass
-
-    def on_phase_begin(self, name) -> None:
-        pass
-
-    def on_phase_end(self, name) -> None:
-        pass
-
-    def on_finish(self, time) -> None:
-        pass
-
-
-class MulticastListener:
-    """Forwards every event to each registered listener, in order."""
-
-    def __init__(self, listeners: Optional[List[Pomp2Listener]] = None) -> None:
-        self.listeners: List[Pomp2Listener] = list(listeners or [])
-
-    def add(self, listener: Pomp2Listener) -> None:
-        self.listeners.append(listener)
-
-    def on_enter(self, thread_id, region, time, parameter=None) -> None:
-        for listener in self.listeners:
-            listener.on_enter(thread_id, region, time, parameter)
-
-    def on_exit(self, thread_id, region, time) -> None:
-        for listener in self.listeners:
-            listener.on_exit(thread_id, region, time)
-
-    def on_task_begin(self, thread_id, region, instance, time, parameter=None) -> None:
-        for listener in self.listeners:
-            listener.on_task_begin(thread_id, region, instance, time, parameter)
-
-    def on_task_end(self, thread_id, region, instance, time) -> None:
-        for listener in self.listeners:
-            listener.on_task_end(thread_id, region, instance, time)
-
-    def on_task_switch(self, thread_id, instance, time) -> None:
-        for listener in self.listeners:
-            listener.on_task_switch(thread_id, instance, time)
-
-    def on_metric(self, thread_id, counters, time) -> None:
-        for listener in self.listeners:
-            listener.on_metric(thread_id, counters, time)
-
-    def on_phase_begin(self, name) -> None:
-        for listener in self.listeners:
-            listener.on_phase_begin(name)
-
-    def on_phase_end(self, name) -> None:
-        for listener in self.listeners:
-            listener.on_phase_end(name)
-
-    def on_finish(self, time) -> None:
-        for listener in self.listeners:
-            listener.on_finish(time)
-
-
-class RecordingListener:
-    """Appends every event to a :class:`~repro.events.stream.ProgramTrace`."""
-
-    def __init__(self, trace) -> None:
-        self.trace = trace
-
-    def on_enter(self, thread_id, region, time, parameter=None) -> None:
-        from repro.events.model import EnterEvent
-
-        self.trace.record(
-            EnterEvent(thread_id, time, self._exec(thread_id), region, parameter)
-        )
-
-    def on_exit(self, thread_id, region, time) -> None:
-        from repro.events.model import ExitEvent
-
-        self.trace.record(ExitEvent(thread_id, time, self._exec(thread_id), region))
-
-    def on_task_begin(self, thread_id, region, instance, time, parameter=None) -> None:
-        from repro.events.model import TaskBeginEvent
-
-        self._current[thread_id] = instance
-        self.trace.record(
-            TaskBeginEvent(thread_id, time, instance, region, instance, parameter)
-        )
-
-    def on_task_end(self, thread_id, region, instance, time) -> None:
-        from repro.events.model import TaskEndEvent, implicit_instance_id
-
-        self.trace.record(TaskEndEvent(thread_id, time, instance, region, instance))
-        self._current[thread_id] = implicit_instance_id(thread_id)
-
-    def on_task_switch(self, thread_id, instance, time) -> None:
-        from repro.events.model import TaskSwitchEvent
-
-        self._current[thread_id] = instance
-        self.trace.record(TaskSwitchEvent(thread_id, time, instance, instance))
-
-    def on_metric(self, thread_id, counters, time) -> None:
-        pass  # counters live in the profile, not the event trace
-
-    def on_phase_begin(self, name) -> None:
-        pass
-
-    def on_phase_end(self, name) -> None:
-        pass
-
-    def on_finish(self, time) -> None:
-        pass
-
-    # ------------------------------------------------------------------
-    @property
-    def _current(self):
-        if not hasattr(self, "_current_map"):
-            from repro.events.model import implicit_instance_id
-
-            self._current_map = {
-                t: implicit_instance_id(t) for t in range(self.trace.n_threads)
-            }
-        return self._current_map
-
-    def _exec(self, thread_id: int):
-        return self._current[thread_id]

@@ -424,7 +424,8 @@ class TaskProfiler:
     The instance table is shared across threads so that untied tasks may
     migrate (Section IV-D1); each event is routed to the executing
     thread's profiler.  The profiler implements the POMP2-style listener
-    protocol consumed by :class:`repro.instrument.layer.InstrumentationLayer`.
+    protocol (:class:`repro.instrument.pomp2.Pomp2Listener`) plus
+    ``on_batch`` for the columnar batches the instrumentation layer fills.
 
     ``strict=False`` selects *lenient* (salvage) mode: instead of raising
     :class:`~repro.errors.ProfileError` on an inconsistent event, the

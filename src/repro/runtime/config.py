@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.events.batch import TID_MASK
 from repro.runtime.costs import CostModel
 
 
@@ -85,14 +86,6 @@ class RuntimeConfig:
     #: :class:`~repro.errors.WatchdogTimeout` when the region has not
     #: completed within this many virtual µs (stuck-task detection).
     watchdog_us: float | None = None
-    #: Columnar event dispatch: when True (the default) the runtime
-    #: fills a struct-of-arrays :class:`~repro.events.batch.EventBatch`
-    #: and flushes it to the substrate manager at scheduling-point
-    #: boundaries (``on_batch`` fast path); when False every event is
-    #: forwarded as an individual listener call (the legacy hot path,
-    #: kept for A/B comparison -- both paths produce byte-identical
-    #: cubes).  Only effective when a substrate manager is attached.
-    batch_events: bool = True
     #: Soft batch size: past this many buffered events the batch drains
     #: at the next task-scheduling point.
     batch_flush_threshold: int = 1024
@@ -109,6 +102,12 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
+        if self.n_threads > TID_MASK + 1:
+            # An event code packs the thread id into the bits of TID_MASK;
+            # a larger id would spill into the region-id bits.
+            raise ValueError(
+                f"n_threads must be <= {TID_MASK + 1}, got {self.n_threads}"
+            )
         if not isinstance(self.substrates, tuple):
             # Accept any iterable (lists read naturally at call sites) but
             # store a tuple -- the config is frozen and hash-friendly.
@@ -153,6 +152,3 @@ class RuntimeConfig:
         """Arm the resource governor with a MemoryBudget (or None)."""
         return replace(self, memory_budget=budget)
 
-    def with_batching(self, enabled: bool) -> "RuntimeConfig":
-        """Toggle columnar event batching (True = batched hot path)."""
-        return replace(self, batch_events=enabled)

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional
 from repro.errors import RuntimeModelError, WatchdogTimeout
 from repro.events.regions import Region, RegionRegistry, RegionType
 from repro.events.stream import ProgramTrace
-from repro.instrument.layer import BatchedInstrumentationLayer, InstrumentationLayer
+from repro.instrument.layer import InstrumentationLayer
 from repro.profiling.profile import Profile
 from repro.profiling.task_profiler import TaskProfiler
 from repro.runtime.config import RuntimeConfig
@@ -240,7 +240,7 @@ class OpenMPRuntime:
             # Batched dispatch defers consumer state, so drain the event
             # batch first -- the governor's gauges (pool nodes, live
             # instances, event buffers) must reflect every event up to
-            # this scheduling point, exactly as under per-event dispatch.
+            # this scheduling point.
             self.instr.flush()
             self.governor.on_task_created(self.env.now)
         return task
@@ -363,27 +363,17 @@ class OpenMPRuntime:
             region_filter = (
                 self.config.measurement_filter if self.config.instrument else None
             )
-            if self.config.batch_events:
-                # The columnar hot path: events fill a struct-of-arrays
-                # batch that drains through manager.on_batch at
-                # scheduling-point boundaries.  Event sequence and cube
-                # output are byte-identical to the per-event layer.
-                self.instr = BatchedInstrumentationLayer(
-                    enabled=True,
-                    per_event_cost=base_cost + manager.extra_cost_per_event,
-                    listener=manager,
-                    region_filter=region_filter,
-                    registry=self.registry,
-                    flush_threshold=self.config.batch_flush_threshold,
-                    capacity=self.config.batch_capacity,
-                )
-            else:
-                self.instr = InstrumentationLayer(
-                    enabled=True,
-                    per_event_cost=base_cost + manager.extra_cost_per_event,
-                    listener=manager,
-                    region_filter=region_filter,
-                )
+            # Events fill a struct-of-arrays batch that drains through
+            # manager.on_batch at scheduling-point boundaries.
+            self.instr = InstrumentationLayer(
+                enabled=True,
+                per_event_cost=base_cost + manager.extra_cost_per_event,
+                listener=manager,
+                region_filter=region_filter,
+                registry=self.registry,
+                flush_threshold=self.config.batch_flush_threshold,
+                capacity=self.config.batch_capacity,
+            )
             self.instr.phase_begin(name)
 
         injector = self.fault_injector
@@ -427,7 +417,7 @@ class OpenMPRuntime:
         if injector is not None and self.trace is not None:
             # Events still withheld for reordering surface at the end --
             # after the final batch drains, so they land behind every
-            # recorded event just as under per-event dispatch.
+            # recorded event.
             self.instr.flush()
             for event in injector.drain():
                 self.trace.streams[event.thread_id].append_unchecked(event)

@@ -427,10 +427,10 @@ class WorkerThread:
         """Execute tasks (or idle) until ``condition()`` holds."""
         rt = self.rt
         # Entering the task scheduler is a scheduling point: give the
-        # batched instrumentation layer a chance to drain, so consumers
+        # instrumentation layer a chance to drain its batch, so consumers
         # (governor gauges, online validation) are caught up before this
         # thread potentially idles for a long virtual stretch.  A no-op
-        # on the per-event layer and below the soft threshold.
+        # below the soft threshold.
         rt.instr.sched_point()
         while not condition():
             task, fresh = yield from self._find_task()

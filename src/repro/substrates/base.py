@@ -9,9 +9,10 @@ lifecycle --
 1. :meth:`initialize` -- called once, before the team starts, with the
    run's region registry, team size, virtual start time, and the implicit
    region handle.
-2. the POMP2 event callbacks (``on_enter`` ... ``on_metric``) -- called
-   for every measurement event the run produces, in virtual-time order
-   per thread.
+2. :meth:`on_batch` -- called with every flushed
+   :class:`~repro.events.batch.EventBatch`; the default replays it
+   through the POMP2 event callbacks (``on_enter`` ... ``on_metric``),
+   one call per measurement event, in virtual-time order per thread.
 3. :meth:`finalize` -- called once with the region's virtual end time;
    afterwards :meth:`artifact` must return whatever the substrate
    produced (a :class:`~repro.profiling.profile.Profile`, a
@@ -130,19 +131,17 @@ class Substrate:
         """Consume one columnar :class:`~repro.events.batch.EventBatch`.
 
         The default implementation is the **fallback shim**: it replays
-        the batch as the legacy per-event callbacks, so a substrate that
-        only implements ``on_enter``/``on_exit``/... keeps working
-        unchanged under batched dispatch.  Dispatch goes through
-        ``self.on_*`` attribute lookup, so the method-shadowing idiom
-        (instance attributes rebinding callbacks at initialize time, as
-        the profiling and tracing substrates do) is honored.
+        the batch through the per-event callbacks, so a substrate that
+        only implements ``on_enter``/``on_exit``/... needs no batch
+        code.  Dispatch goes through ``self.on_*`` attribute lookup, so
+        callbacks rebound as instance attributes at initialize time are
+        honored.
 
-        The shim contract: the substrate observes the *same events in
-        the same order* as under per-event dispatch; exceptions escape
-        to the manager exactly as they would from the per-event
-        callbacks (the manager quarantines or aborts per ``essential``).
-        Substrates override this with a native fast path when they can
-        consume the columns directly.
+        The shim contract: the substrate observes every event of the
+        batch, in stream order; exceptions escape to the manager (which
+        quarantines or aborts per ``essential``).  Substrates override
+        this with a native fast path when they can consume the columns
+        directly.
         """
         on_enter = self.on_enter
         on_exit = self.on_exit

@@ -24,7 +24,7 @@ class GovernorSubstrate(Substrate):
 
     Overrides no event callbacks, so the manager's batched dispatch
     never routes :class:`~repro.events.batch.EventBatch` flushes here --
-    it is a pure artifact carrier on both the legacy and columnar paths.
+    it is a pure artifact carrier.
     """
 
     name = "governor"

@@ -1,11 +1,9 @@
 """The substrate manager: one listener fanning out to many substrates.
 
-The manager implements the POMP2 listener protocol, so the
-:class:`~repro.instrument.layer.InstrumentationLayer` needs no special
-cases: it dispatches to *one* listener, and that listener happens to be
-the manager driving every attached substrate.  This replaces the old
-ad-hoc wiring (profiler as primary listener, recorder bolted on via
-``add_listener``) with the Score-P substrate architecture.
+The :class:`~repro.instrument.layer.InstrumentationLayer` hands each
+filled :class:`~repro.events.batch.EventBatch`, every phase marker and
+the finish to *one* listener, and that listener is the manager driving
+every attached substrate (the Score-P substrate architecture).
 
 Two responsibilities beyond fan-out:
 
@@ -30,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Type
 
 from repro.errors import SubstrateError
-from repro.events.model import InstanceId
 from repro.events.regions import Region, RegionRegistry
 from repro.substrates.base import Substrate
 
@@ -52,21 +49,20 @@ class SubstrateIncident:
         )
 
 
-#: Callback names the manager builds dispatch tables for.
-_DISPATCH_CALLBACKS = (
+#: Per-event callbacks; overriding any of them puts a substrate in the
+#: batch fan-out (the base ``on_batch`` shim replays batches through them).
+_EVENT_CALLBACKS = (
     "on_enter",
     "on_exit",
     "on_task_begin",
     "on_task_end",
     "on_task_switch",
     "on_metric",
-    "on_phase_begin",
-    "on_phase_end",
 )
 
 
 class SubstrateManager:
-    """Drives a set of substrates through one run (POMP2 listener)."""
+    """Drives a set of substrates through one run (the layer's listener)."""
 
     def __init__(self, substrates: Sequence[Substrate]) -> None:
         names = [s.name for s in substrates]
@@ -88,47 +84,38 @@ class SubstrateManager:
         self._rebuild_dispatch()
 
     def _rebuild_dispatch(self) -> None:
-        """Per-callback target lists, skipping inherited no-op callbacks.
+        """Target lists per dispatched callback, skipping inherited no-ops.
 
-        A substrate that leaves a callback at the :class:`Substrate`
-        default never appears in that callback's table, so fan-out pays
-        only for consumers that actually listen.  Instance-level shadowing
-        (the profiler/tracer bind their backend's methods onto ``self``
-        during ``initialize``) is respected because the check compares the
-        *bound* method against the base class, which is why the tables are
-        rebuilt after initialization and after every quarantine.
+        A substrate belongs in the batch fan-out if it consumes batches
+        natively (overridden ``on_batch``) or overrides any per-event
+        callback (the base ``on_batch`` shim then replays the batch
+        through them); one with neither -- the governor -- is skipped
+        entirely.  The phase tables likewise list only substrates that
+        override the phase callback.  Instance-level shadowing (the
+        profiler binds its backend's methods onto ``self`` during
+        ``initialize``) is respected because the check compares the
+        *bound* method against the base class, which is why the tables
+        are rebuilt after initialization and after every quarantine.
         """
-        for callback in _DISPATCH_CALLBACKS:
+
+        def overrides(substrate: Substrate, callback: str) -> bool:
             base = getattr(Substrate, callback)
-            targets = [
-                s
-                for s in self._active
-                if getattr(getattr(s, callback), "__func__", None) is not base
-            ]
-            setattr(self, "_targets_" + callback, targets)
-        # Batched dispatch targets: a substrate belongs in the batch
-        # fan-out if it consumes batches natively (overridden on_batch)
-        # or if any of its six event callbacks is overridden (the base
-        # on_batch shim then replays the batch through them).  A
-        # substrate with neither -- the governor -- is skipped entirely.
-        batch_base = Substrate.on_batch
-        event_bases = tuple(
-            getattr(Substrate, cb) for cb in _DISPATCH_CALLBACKS[:6]
-        )
+            return getattr(getattr(substrate, callback), "__func__", None) is not base
+
         self._targets_on_batch = [
             s
             for s in self._active
-            if getattr(s.on_batch, "__func__", None) is not batch_base
-            or any(
-                getattr(getattr(s, cb), "__func__", None) is not base
-                for cb, base in zip(_DISPATCH_CALLBACKS[:6], event_bases)
-            )
+            if overrides(s, "on_batch")
+            or any(overrides(s, cb) for cb in _EVENT_CALLBACKS)
         ]
-        # Satellite fix: the per-event charge used to be re-summed by the
-        # property on every event; cache it here and re-derive it on any
-        # dispatch rebuild (attachment-time init, quarantine).  The sum
-        # spans *all attached* substrates -- per the documented contract a
-        # quarantine invalidates the cache but never lowers the charge.
+        self._targets_on_phase_begin = [
+            s for s in self._active if overrides(s, "on_phase_begin")
+        ]
+        self._targets_on_phase_end = [
+            s for s in self._active if overrides(s, "on_phase_end")
+        ]
+        # The per-event charge spans *all attached* substrates -- per the
+        # documented contract a quarantine never lowers it.
         self._extra_cost_per_event = float(
             sum(s.per_event_cost for s in self.substrates)
         )
@@ -179,7 +166,7 @@ class SubstrateManager:
         for substrate in self._active:
             substrate.initialize(registry, n_threads, start_time, implicit_region)
         # Initialization may have bound backend methods onto instances
-        # (profiler/tracer shadowing): refresh the dispatch tables.
+        # (profiler shadowing): refresh the dispatch tables.
         self._rebuild_dispatch()
 
     def artifacts(self) -> Dict[str, Any]:
@@ -236,82 +223,8 @@ class SubstrateManager:
         self._rebuild_dispatch()
 
     # ------------------------------------------------------------------
-    # POMP2 listener protocol
+    # Listener protocol of the instrumentation layer
     # ------------------------------------------------------------------
-    def on_enter(
-        self,
-        thread_id: int,
-        region: Region,
-        time: float,
-        parameter: Optional[tuple] = None,
-    ) -> None:
-        self.events_delivered += 1
-        for substrate in self._targets_on_enter:
-            try:
-                substrate.on_enter(thread_id, region, time, parameter)
-            except Exception as exc:
-                if substrate.essential:
-                    raise
-                self._quarantine(substrate, "on_enter", exc)
-
-    def on_exit(self, thread_id: int, region: Region, time: float) -> None:
-        self.events_delivered += 1
-        for substrate in self._targets_on_exit:
-            try:
-                substrate.on_exit(thread_id, region, time)
-            except Exception as exc:
-                if substrate.essential:
-                    raise
-                self._quarantine(substrate, "on_exit", exc)
-
-    def on_task_begin(
-        self,
-        thread_id: int,
-        region: Region,
-        instance: InstanceId,
-        time: float,
-        parameter: Optional[tuple] = None,
-    ) -> None:
-        self.events_delivered += 1
-        for substrate in self._targets_on_task_begin:
-            try:
-                substrate.on_task_begin(thread_id, region, instance, time, parameter)
-            except Exception as exc:
-                if substrate.essential:
-                    raise
-                self._quarantine(substrate, "on_task_begin", exc)
-
-    def on_task_end(
-        self, thread_id: int, region: Region, instance: InstanceId, time: float
-    ) -> None:
-        self.events_delivered += 1
-        for substrate in self._targets_on_task_end:
-            try:
-                substrate.on_task_end(thread_id, region, instance, time)
-            except Exception as exc:
-                if substrate.essential:
-                    raise
-                self._quarantine(substrate, "on_task_end", exc)
-
-    def on_task_switch(self, thread_id: int, instance: InstanceId, time: float) -> None:
-        self.events_delivered += 1
-        for substrate in self._targets_on_task_switch:
-            try:
-                substrate.on_task_switch(thread_id, instance, time)
-            except Exception as exc:
-                if substrate.essential:
-                    raise
-                self._quarantine(substrate, "on_task_switch", exc)
-
-    def on_metric(self, thread_id: int, counters: dict, time: float) -> None:
-        for substrate in self._targets_on_metric:
-            try:
-                substrate.on_metric(thread_id, counters, time)
-            except Exception as exc:
-                if substrate.essential:
-                    raise
-                self._quarantine(substrate, "on_metric", exc)
-
     def on_phase_begin(self, name: str) -> None:
         for substrate in self._targets_on_phase_begin:
             try:
@@ -333,19 +246,15 @@ class SubstrateManager:
     def on_batch(self, batch) -> None:
         """Fan one columnar batch out to every batch-capable substrate.
 
-        This is the hot-path replacement for per-event fan-out: one
-        dispatch call per *flush* instead of one per event, with each
-        substrate consuming the whole batch (natively or through the
-        base-class replay shim).  Every substrate still observes the
-        same events in the same order as under per-event dispatch; only
-        the interleaving *between* substrates coarsens from per-event to
-        per-batch.
+        One dispatch call per *flush*, with each substrate consuming the
+        whole batch (natively or through the base-class replay shim).
+        Every substrate observes the events in stream order; the
+        interleaving *between* substrates is per batch.
 
         Quarantine semantics: an exception from a non-essential
-        substrate quarantines it exactly as in per-event dispatch.  The
-        incident's ``events_delivered`` is the post-batch count -- with
-        deferred dispatch the batch is the granularity at which delivery
-        is accounted.
+        substrate quarantines it; an essential one's propagates.  The
+        incident's ``events_delivered`` is the post-batch count -- the
+        batch is the granularity at which delivery is accounted.
         """
         self.events_delivered += batch.counted
         for substrate in self._targets_on_batch:

@@ -1,11 +1,9 @@
 """The profiling substrate: the paper's Fig. 12 profiler as a substrate.
 
 Wraps :class:`~repro.profiling.task_profiler.TaskProfiler`.  At
-:meth:`initialize` the freshly-built profiler's bound listener methods
-are shadowed onto the substrate instance, so the manager's fan-out calls
-land directly on the profiler -- no per-event indirection, and the event
-sequence the profiler sees is byte-for-byte what it saw under the old
-direct wiring (identical cube output).
+:meth:`initialize` the freshly-built profiler's bound ``on_batch`` and
+phase methods are shadowed onto the substrate instance, so the manager's
+fan-out calls land directly on the profiler with no indirection.
 """
 
 from __future__ import annotations
@@ -67,20 +65,12 @@ class ProfilingSubstrate(Substrate):
             governor=self.governor,
         )
         self.profiler = profiler
-        # Short-circuit dispatch: the profiler's (possibly salvage-mode)
-        # bound methods become this substrate's callbacks.
-        self.on_enter = profiler.on_enter
-        self.on_exit = profiler.on_exit
-        self.on_task_begin = profiler.on_task_begin
-        self.on_task_end = profiler.on_task_end
-        self.on_task_switch = profiler.on_task_switch
-        self.on_metric = profiler.on_metric
+        # Short-circuit dispatch: the profiler decodes whole batches
+        # itself (routing lenient/governed runs through its salvage and
+        # governed per-event handlers).
+        self.on_batch = profiler.on_batch
         self.on_phase_begin = profiler.on_phase_begin
         self.on_phase_end = profiler.on_phase_end
-        # Columnar fast path: the profiler decodes whole batches itself
-        # (and internally falls back to the shadowed per-event handlers
-        # in lenient/governed mode).
-        self.on_batch = profiler.on_batch
 
     def finalize(self, time: float) -> None:
         if self.profiler is not None:

@@ -3,14 +3,11 @@
 Every :class:`~repro.events.batch.EventBatch` the manager flushes is
 sealed, as it is, into one CRC32-checksummed, sequence-numbered chunk
 of ``<record_dir>/events.chunks`` (layout: :mod:`repro.recorder.chunks`).
-Init and phase records ride in the next chunk's header.  Under the
-legacy per-event path (``batch_events=False``) the callbacks append to
-the recorder's own batch, which seals every :data:`LEGACY_SEAL_ROWS`
-events and at phase and finish boundaries.  Once ``checkpoint_every``
-records have sealed since the last checkpoint, the substrate fsyncs the
-stream and writes ``checkpoint.json``: a canonical-JSON cube partial
-snapshot of the live profiler plus the stream cursor, via
-``atomic_write``.
+Init and phase records ride in the next chunk's header.  Once
+``checkpoint_every`` records have sealed since the last checkpoint, the
+substrate fsyncs the stream and writes ``checkpoint.json``: a
+canonical-JSON cube partial snapshot of the live profiler plus the
+stream cursor, via ``atomic_write``.
 
 The contract this buys:
 
@@ -36,7 +33,6 @@ from typing import Any, Optional
 
 from repro.errors import SubstrateError
 from repro.events.batch import EventBatch
-from repro.events.model import InstanceId
 from repro.events.regions import Region, RegionRegistry
 from repro.recorder.chunks import ChunkWriter
 from repro.recorder.store import (
@@ -47,10 +43,6 @@ from repro.recorder.store import (
     write_manifest,
 )
 from repro.substrates.base import Substrate
-
-#: Events after which the legacy per-event path seals the recorder's own
-#: batch (the batched path seals each flushed batch as it arrives).
-LEGACY_SEAL_ROWS = 512
 
 
 class RecorderSubstrate(Substrate):
@@ -89,7 +81,6 @@ class RecorderSubstrate(Substrate):
         self.per_event_cost = per_event_cost
         self.profiler = None  # injected by the runtime after initialize
         self.writer: Optional[ChunkWriter] = None
-        self._batch: Optional[EventBatch] = None  # the legacy path's batch
         self.records = 0
         self.checkpoints = 0
         self.checkpoint_errors = 0
@@ -127,7 +118,6 @@ class RecorderSubstrate(Substrate):
                 "cursor": previous.get("cursor"),
             }
         self.writer = ChunkWriter(events_path(self.record_dir), registry)
-        self._batch = EventBatch(registry)
         self._n_threads = n_threads
         self._start_time = start_time
         # The INIT record needs the profiler's depth limit, which is
@@ -164,10 +154,6 @@ class RecorderSubstrate(Substrate):
         if self.records >= self._next_checkpoint and batch.times:
             self._checkpoint(batch.times[-1])
 
-    def _seal_own(self) -> None:
-        self._seal(self._batch)
-        self._batch.clear()
-
     def _checkpoint(self, time: float) -> None:
         """Fsync the stream, then snapshot profiler state.
 
@@ -196,9 +182,8 @@ class RecorderSubstrate(Substrate):
         if self.writer is None or self.writer.closed:
             return
         self._ensure_init()
-        self.records += len(self._batch)
         self._finish_time = time
-        self.writer.close(self._batch, finish_time=time)
+        self.writer.close(finish_time=time)
         write_manifest(
             self.record_dir,
             self._manifest(
@@ -229,8 +214,6 @@ class RecorderSubstrate(Substrate):
         self._seal(batch)
 
     def _phase(self, record: tuple) -> None:
-        if self._batch.codes:
-            self._seal_own()
         self._ensure_init()
         self.writer.add_record(record)
         self.records += 1
@@ -240,49 +223,3 @@ class RecorderSubstrate(Substrate):
 
     def on_phase_end(self, name: str) -> None:
         self._phase(("phase_end", name))
-
-    # -- legacy per-event path (batch_events=False) ---------------------
-    def _spill(self) -> None:
-        if len(self._batch.codes) >= LEGACY_SEAL_ROWS:
-            self._seal_own()
-
-    def on_enter(
-        self,
-        thread_id: int,
-        region: Region,
-        time: float,
-        parameter: Optional[tuple] = None,
-    ) -> None:
-        self._batch.add_enter(thread_id, region, time, parameter)
-        self._spill()
-
-    def on_exit(self, thread_id: int, region: Region, time: float) -> None:
-        self._batch.add_exit(thread_id, region, time)
-        self._spill()
-
-    def on_task_begin(
-        self,
-        thread_id: int,
-        region: Region,
-        instance: InstanceId,
-        time: float,
-        parameter: Optional[tuple] = None,
-    ) -> None:
-        self._batch.add_task_begin(thread_id, region, instance, time, parameter)
-        self._spill()
-
-    def on_task_end(
-        self, thread_id: int, region: Region, instance: InstanceId, time: float
-    ) -> None:
-        self._batch.add_task_end(thread_id, region, instance, time)
-        self._spill()
-
-    def on_task_switch(
-        self, thread_id: int, instance: InstanceId, time: float
-    ) -> None:
-        self._batch.add_task_switch(thread_id, instance, time)
-        self._spill()
-
-    def on_metric(self, thread_id: int, counters: dict, time: float) -> None:
-        self._batch.add_metric(thread_id, counters, time)
-        self._spill()

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.events.batch import (
     K_ENTER,
     K_METRIC,
     KIND_MASK,
+    KIND_NAMES,
     RID_MASK,
     RID_SHIFT,
     TID_MASK,
@@ -24,11 +27,6 @@ from repro.events.batch import (
 )
 from repro.events.regions import Region, RegionRegistry
 from repro.substrates.base import Substrate
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None
 
 
 class StatsSubstrate(Substrate):
@@ -63,55 +61,22 @@ class StatsSubstrate(Substrate):
         self.n_threads = n_threads
         self.per_thread = [0] * n_threads
 
-    # -- POMP2 callbacks ------------------------------------------------
-    def on_enter(self, thread_id, region, time, parameter=None) -> None:
-        self.per_thread[thread_id] += 1
-        self.per_kind["enter"] += 1
-        rtype = region.region_type.value
-        self.per_region_type[rtype] = self.per_region_type.get(rtype, 0) + 1
-
-    def on_exit(self, thread_id, region, time) -> None:
-        self.per_thread[thread_id] += 1
-        self.per_kind["exit"] += 1
-
-    def on_task_begin(self, thread_id, region, instance, time, parameter=None) -> None:
-        self.per_thread[thread_id] += 1
-        self.per_kind["task_begin"] += 1
-
-    def on_task_end(self, thread_id, region, instance, time) -> None:
-        self.per_thread[thread_id] += 1
-        self.per_kind["task_end"] += 1
-
-    def on_task_switch(self, thread_id, instance, time) -> None:
-        self.per_thread[thread_id] += 1
-        self.per_kind["task_switch"] += 1
-
-    def on_metric(self, thread_id, counters, time) -> None:
-        # Metrics piggyback on an existing event boundary (no cost, not
-        # counted in total_events) but are still interesting traffic.
-        self.per_kind["metric"] += 1
-
     def on_batch(self, batch: EventBatch) -> None:
         """Native batch consume: pure column arithmetic, no per-event work.
 
         One ``bincount`` over the kind bits, one over the thread bits
-        (metric rows excluded -- the legacy callbacks never counted them
+        (metric rows excluded -- metrics piggyback and are not counted
         per thread), and a unique-count over the enters' region ids.
-        Falls back to the per-event replay shim without numpy.
         """
-        if _np is None:
-            return super().on_batch(batch)
-        cd = _np.frombuffer(batch.codes, dtype=_np.int64)
+        cd = np.frombuffer(batch.codes, dtype=np.int64)
         kinds = cd & KIND_MASK
-        kind_counts = _np.bincount(kinds, minlength=K_METRIC + 1)
+        kind_counts = np.bincount(kinds, minlength=K_METRIC + 1)
         per_kind = self.per_kind
-        for kind, key in enumerate(
-            ("enter", "exit", "task_begin", "task_end", "task_switch", "metric")
-        ):
-            per_kind[key] += int(kind_counts[kind])
+        for key, count in zip(KIND_NAMES, kind_counts.tolist()):
+            per_kind[key] += count
         non_metric = kinds != K_METRIC
         tids = (cd >> TID_SHIFT) & TID_MASK
-        thread_counts = _np.bincount(
+        thread_counts = np.bincount(
             tids[non_metric], minlength=len(self.per_thread)
         )
         per_thread = self.per_thread
@@ -119,7 +84,7 @@ class StatsSubstrate(Substrate):
             per_thread[t] += count
         enters = cd[kinds == K_ENTER]
         if enters.size:
-            rids, counts = _np.unique(
+            rids, counts = np.unique(
                 (enters >> RID_SHIFT) & RID_MASK, return_counts=True
             )
             lookup = batch.registry.lookup

@@ -1,15 +1,14 @@
 """The tracing substrate: full event recording as a substrate.
 
-Wraps :class:`~repro.events.stream.ProgramTrace` +
-:class:`~repro.instrument.pomp2.RecordingListener`; like the profiling
-substrate it shadows the recorder's bound methods onto itself at
-:meth:`initialize`, so recording through the manager produces the same
-trace the old ``add_listener`` wiring did.
+Decodes every flushed :class:`~repro.events.batch.EventBatch` into
+event objects appended to a :class:`~repro.events.stream.ProgramTrace`
+(the run's ``trace``), tagging each region event with the task instance
+executing on its thread.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.events.batch import (
     K_ENTER,
@@ -19,9 +18,16 @@ from repro.events.batch import (
     K_TASK_SWITCH,
     EventBatch,
 )
+from repro.events.model import (
+    EnterEvent,
+    ExitEvent,
+    TaskBeginEvent,
+    TaskEndEvent,
+    TaskSwitchEvent,
+    implicit_instance_id,
+)
 from repro.events.regions import Region, RegionRegistry
 from repro.events.stream import ProgramTrace
-from repro.instrument.pomp2 import RecordingListener
 from repro.substrates.base import Substrate
 
 
@@ -34,7 +40,8 @@ class TracingSubstrate(Substrate):
     def __init__(self, per_event_cost: float = 0.0) -> None:
         self.per_event_cost = per_event_cost
         self.trace: Optional[ProgramTrace] = None
-        self._recorder: Optional[RecordingListener] = None
+        #: per thread: the task instance currently executing there
+        self._current: List[int] = []
 
     def initialize(
         self,
@@ -44,33 +51,17 @@ class TracingSubstrate(Substrate):
         implicit_region: Optional[Region] = None,
     ) -> None:
         self.trace = ProgramTrace(n_threads, registry)
-        recorder = RecordingListener(self.trace)
-        self._recorder = recorder
-        self.on_enter = recorder.on_enter
-        self.on_exit = recorder.on_exit
-        self.on_task_begin = recorder.on_task_begin
-        self.on_task_end = recorder.on_task_end
-        self.on_task_switch = recorder.on_task_switch
+        self._current = [implicit_instance_id(t) for t in range(n_threads)]
 
     def on_batch(self, batch: EventBatch) -> None:
-        """Native batch consume: one loop building events straight into
-        the trace, bypassing the per-event listener frames.
+        """One loop building events straight into the trace.
 
         ``trace.record`` is looked up once per batch *through the
         instance*, so a fault injector that shadowed it (stream-fault
         mode) still intercepts every recorded event.
         """
-        from repro.events.model import (
-            EnterEvent,
-            ExitEvent,
-            TaskBeginEvent,
-            TaskEndEvent,
-            TaskSwitchEvent,
-            implicit_instance_id,
-        )
-
         record = self.trace.record
-        current = self._recorder._current
+        current = self._current
         for kind, thread_id, region, time, instance, payload in batch.rows():
             if kind == K_ENTER:
                 record(

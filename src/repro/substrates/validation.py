@@ -108,45 +108,12 @@ class OnlineValidationSubstrate(Substrate):
         self._last_time[thread_id] = event.time
         self._note(checker.feed(event))
 
-    # -- POMP2 callbacks ------------------------------------------------
-    def on_enter(self, thread_id, region, time, parameter=None) -> None:
-        self._feed(
-            thread_id,
-            EnterEvent(thread_id, time, self._current[thread_id], region, parameter),
-        )
-
-    def on_exit(self, thread_id, region, time) -> None:
-        self._feed(
-            thread_id, ExitEvent(thread_id, time, self._current[thread_id], region)
-        )
-
-    def on_task_begin(self, thread_id, region, instance, time, parameter=None) -> None:
-        self._feed(
-            thread_id,
-            TaskBeginEvent(thread_id, time, instance, region, instance, parameter),
-        )
-        self._current[thread_id] = instance
-        self._begun[instance] = self._begun.get(instance, 0) + 1
-        self._known_active.add(instance)
-
-    def on_task_end(self, thread_id, region, instance, time) -> None:
-        self._feed(
-            thread_id, TaskEndEvent(thread_id, time, instance, region, instance)
-        )
-        self._current[thread_id] = implicit_instance_id(thread_id)
-        self._ended[instance] = self._ended.get(instance, 0) + 1
-
-    def on_task_switch(self, thread_id, instance, time) -> None:
-        self._feed(thread_id, TaskSwitchEvent(thread_id, time, instance, instance))
-        self._current[thread_id] = instance
-
     def on_batch(self, batch: EventBatch) -> None:
-        """Native batch consume: one decode loop feeding the checkers.
+        """One decode loop feeding each event to its thread's checker.
 
-        Mirrors the per-event callbacks exactly (event construction,
-        feed-then-bookkeeping ordering for ``_current`` / ``_begun`` /
-        ``_ended`` / ``_known_active``), so the violation report is
-        identical whichever dispatch path ran.
+        Each event is checked *before* the bookkeeping it implies
+        (``_current`` / ``_begun`` / ``_ended`` / ``_known_active``), so a
+        task's own TaskBegin is validated against the state before it.
         """
         feed = self._feed
         current = self._current

@@ -1,12 +1,11 @@
-"""The batched instrumentation layer: fill, flush boundaries, parity.
+"""The instrumentation layer: fill, flush boundaries, counts.
 
 Pins the producer half of the columnar hot path:
 
-* ``events_dispatched`` parity with the legacy per-event layer over an
-  identical event sequence (the satellite fix -- batching changes when
-  events are consumed, never how many were measured);
-* :class:`RegionFilter` parity: suppressed counts match and filtered
-  events never reach the batch;
+* ``events_dispatched`` counts individual events, not flushes, and the
+  drained stream is exactly the event sequence that was filled;
+* :class:`RegionFilter` accounting: suppressed counts are exact and
+  filtered events never reach the batch;
 * every flush boundary: hard capacity, scheduling-point enter past the
   soft threshold, task lifecycle soft flushes, and the structural
   phase/finish drains;
@@ -24,33 +23,15 @@ from repro.events.batch import (
 )
 from repro.events.regions import RegionRegistry, RegionType
 from repro.instrument.filtering import RegionFilter
-from repro.instrument.layer import BatchedInstrumentationLayer, InstrumentationLayer
+from repro.instrument.layer import InstrumentationLayer
 
 
 class CollectingListener:
-    """Collects per-event callbacks AND the batch protocol."""
+    """Collects the decoded batches, phase markers and the finish."""
 
     def __init__(self):
         self.calls = []
         self.flushes = 0
-
-    def on_enter(self, thread_id, region, time, parameter=None):
-        self.calls.append(("enter", thread_id, region, time, parameter))
-
-    def on_exit(self, thread_id, region, time):
-        self.calls.append(("exit", thread_id, region, time))
-
-    def on_task_begin(self, thread_id, region, instance, time, parameter=None):
-        self.calls.append(("task_begin", thread_id, region, instance, time, parameter))
-
-    def on_task_end(self, thread_id, region, instance, time):
-        self.calls.append(("task_end", thread_id, region, instance, time))
-
-    def on_task_switch(self, thread_id, instance, time):
-        self.calls.append(("task_switch", thread_id, instance, time))
-
-    def on_metric(self, thread_id, counters, time):
-        self.calls.append(("metric", thread_id, counters, time))
 
     def on_phase_begin(self, name):
         self.calls.append(("phase_begin", name))
@@ -105,50 +86,57 @@ def _drive(layer, r):
 
 
 # ----------------------------------------------------------------------
-# Parity with the legacy layer
+# Event counts and the drained stream
 # ----------------------------------------------------------------------
 def test_events_dispatched_and_stream_parity(regions):
     reg, r = regions
-    legacy_listener = CollectingListener()
-    legacy = InstrumentationLayer(listener=legacy_listener)
-    batched_listener = CollectingListener()
-    batched = BatchedInstrumentationLayer(listener=batched_listener, registry=reg)
+    listener = CollectingListener()
+    layer = InstrumentationLayer(listener=listener, registry=reg)
 
-    _drive(legacy, r)
-    _drive(batched, r)
+    _drive(layer, r)
 
-    assert batched.events_dispatched == legacy.events_dispatched == 9
-    assert batched_listener.calls == legacy_listener.calls
+    assert layer.events_dispatched == 9  # the metric is not counted
+    assert listener.calls == [
+        ("enter", 0, r["main"], 0.0, None),
+        ("enter", 0, r["f"], 1.0, ("n", 5)),
+        ("task_begin", 1, r["task"], 9, 2.0, ("n", 3)),
+        ("metric", 1, {"spawned": 1}, 2.5),
+        ("task_switch", 1, -2, 3.0),
+        ("task_end", 1, r["task"], 9, 4.0),
+        ("enter", 0, r["wait"], 5.0, None),
+        ("exit", 0, r["wait"], 6.0),
+        ("exit", 0, r["f"], 7.0),
+        ("exit", 0, r["main"], 8.0),
+        ("finish", 9.0),
+    ]
 
 
 def test_filter_parity_and_suppressed_counts(regions):
     reg, r = regions
-    filters = [
+    for region_filter in (
         RegionFilter(exclude=("taskwait",)),
         RegionFilter(exclude_types=(RegionType.TASKWAIT,)),
-    ]
-    legacy = InstrumentationLayer(listener=CollectingListener(), region_filter=filters[0])
-    batched_listener = CollectingListener()
-    batched = BatchedInstrumentationLayer(
-        listener=batched_listener, region_filter=filters[1], registry=reg
-    )
-    _drive(legacy, r)
-    _drive(batched, r)
+    ):
+        listener = CollectingListener()
+        layer = InstrumentationLayer(
+            listener=listener, region_filter=region_filter, registry=reg
+        )
+        _drive(layer, r)
 
-    assert batched.filter.suppressed == legacy.filter.suppressed == 2
-    assert batched.events_dispatched == legacy.events_dispatched == 7
-    # the filtered region never reaches the drained stream
-    assert all(
-        call[2] is not r["wait"]
-        for call in batched_listener.calls
-        if call[0] in ("enter", "exit")
-    )
+        assert layer.filter.suppressed == 2
+        assert layer.events_dispatched == 7
+        # the filtered region never reaches the drained stream
+        assert all(
+            call[2] is not r["wait"]
+            for call in listener.calls
+            if call[0] in ("enter", "exit")
+        )
 
 
 def test_disabled_layer_is_a_noop(regions):
     reg, r = regions
     listener = CollectingListener()
-    layer = BatchedInstrumentationLayer(enabled=False, listener=listener, registry=reg)
+    layer = InstrumentationLayer(enabled=False, listener=listener, registry=reg)
     _drive(layer, r)
     layer.flush()
     assert layer.events_dispatched == 0
@@ -161,7 +149,7 @@ def test_disabled_layer_is_a_noop(regions):
 def test_capacity_hard_flush(regions):
     reg, r = regions
     listener = CollectingListener()
-    layer = BatchedInstrumentationLayer(
+    layer = InstrumentationLayer(
         listener=listener, registry=reg, flush_threshold=4, capacity=4
     )
     for i in range(3):
@@ -175,7 +163,7 @@ def test_capacity_hard_flush(regions):
 def test_scheduling_point_enter_soft_flush(regions):
     reg, r = regions
     listener = CollectingListener()
-    layer = BatchedInstrumentationLayer(
+    layer = InstrumentationLayer(
         listener=listener, registry=reg, flush_threshold=2, capacity=100
     )
     layer.enter(0, r["f"], 0.0)
@@ -189,7 +177,7 @@ def test_scheduling_point_enter_soft_flush(regions):
 def test_task_lifecycle_soft_flush(regions, event):
     reg, r = regions
     listener = CollectingListener()
-    layer = BatchedInstrumentationLayer(
+    layer = InstrumentationLayer(
         listener=listener, registry=reg, flush_threshold=2, capacity=100
     )
     layer.enter(0, r["f"], 0.0)
@@ -206,7 +194,7 @@ def test_task_lifecycle_soft_flush(regions, event):
 def test_sched_point_hook_respects_threshold(regions):
     reg, r = regions
     listener = CollectingListener()
-    layer = BatchedInstrumentationLayer(
+    layer = InstrumentationLayer(
         listener=listener, registry=reg, flush_threshold=3, capacity=100
     )
     layer.enter(0, r["f"], 0.0)
@@ -221,7 +209,7 @@ def test_sched_point_hook_respects_threshold(regions):
 def test_phase_and_finish_flush_first(regions):
     reg, r = regions
     listener = CollectingListener()
-    layer = BatchedInstrumentationLayer(listener=listener, registry=reg)
+    layer = InstrumentationLayer(listener=listener, registry=reg)
     layer.enter(0, r["f"], 0.0)
     layer.phase_begin("compute")
     # the buffered enter drains BEFORE the phase marker
@@ -237,7 +225,7 @@ def test_phase_and_finish_flush_first(regions):
 def test_flush_of_empty_batch_is_silent(regions):
     reg, _ = regions
     listener = CollectingListener()
-    layer = BatchedInstrumentationLayer(listener=listener, registry=reg)
+    layer = InstrumentationLayer(listener=listener, registry=reg)
     layer.flush()
     assert listener.flushes == 0
 
@@ -245,9 +233,9 @@ def test_flush_of_empty_batch_is_silent(regions):
 def test_invalid_thresholds_rejected(regions):
     reg, _ = regions
     with pytest.raises(ValueError):
-        BatchedInstrumentationLayer(registry=reg, flush_threshold=0)
+        InstrumentationLayer(registry=reg, flush_threshold=0)
     with pytest.raises(ValueError):
-        BatchedInstrumentationLayer(registry=reg, flush_threshold=10, capacity=5)
+        InstrumentationLayer(registry=reg, flush_threshold=10, capacity=5)
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +244,7 @@ def test_invalid_thresholds_rejected(regions):
 def test_payloads_round_trip_through_columns(regions):
     reg, r = regions
     listener = CollectingListener()
-    layer = BatchedInstrumentationLayer(listener=listener, registry=reg)
+    layer = InstrumentationLayer(listener=listener, registry=reg)
     layer.enter(0, r["f"], 1.0, parameter=("n", 41))
     layer.task_begin(3, r["task"], -7, 2.0, parameter=("depth", 2))
     layer.metric(2, {"queue": 11}, 3.0)

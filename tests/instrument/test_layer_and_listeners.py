@@ -1,11 +1,11 @@
-"""Tests for the instrumentation layer and POMP2 listeners."""
+"""Tests for the instrumentation layer and the tracing substrate."""
 
 import pytest
 
 from repro.events import RegionRegistry, RegionType
-from repro.events.stream import ProgramTrace
-from repro.instrument import InstrumentationLayer, MulticastListener, NullListener
-from repro.instrument.pomp2 import RecordingListener
+from repro.events.batch import KIND_NAMES, EventBatch
+from repro.instrument import InstrumentationLayer
+from repro.substrates import TracingSubstrate
 
 
 class CountingListener:
@@ -15,20 +15,9 @@ class CountingListener:
     def _bump(self, kind):
         self.counts[kind] = self.counts.get(kind, 0) + 1
 
-    def on_enter(self, *a, **k):
-        self._bump("enter")
-
-    def on_exit(self, *a, **k):
-        self._bump("exit")
-
-    def on_task_begin(self, *a, **k):
-        self._bump("task_begin")
-
-    def on_task_end(self, *a, **k):
-        self._bump("task_end")
-
-    def on_task_switch(self, *a, **k):
-        self._bump("task_switch")
+    def on_batch(self, batch):
+        for row in batch.rows():
+            self._bump(KIND_NAMES[row[0]])
 
     def on_phase_begin(self, *a, **k):
         self._bump("phase_begin")
@@ -41,8 +30,13 @@ class CountingListener:
 
 
 @pytest.fixture()
-def region():
-    return RegionRegistry().register("r", RegionType.FUNCTION)
+def registry():
+    return RegionRegistry()
+
+
+@pytest.fixture()
+def region(registry):
+    return registry.register("r", RegionType.FUNCTION)
 
 
 def test_disabled_layer_is_a_noop(region):
@@ -53,13 +47,16 @@ def test_disabled_layer_is_a_noop(region):
     layer.task_begin(0, region, 1, 2.0)
     layer.finish(3.0)
     assert listener.counts == {}
+    assert not layer.batch.codes
     assert layer.cost == 0.0
     assert layer.events_dispatched == 0
 
 
-def test_enabled_layer_dispatches_and_counts(region):
+def test_enabled_layer_dispatches_and_counts(registry, region):
     listener = CountingListener()
-    layer = InstrumentationLayer(enabled=True, per_event_cost=0.5, listener=listener)
+    layer = InstrumentationLayer(
+        enabled=True, per_event_cost=0.5, listener=listener, registry=registry
+    )
     layer.enter(0, region, 0.0)
     layer.exit(0, region, 1.0)
     layer.task_begin(0, region, 1, 2.0)
@@ -75,35 +72,21 @@ def test_enabled_layer_dispatches_and_counts(region):
     assert layer.cost == 0.5
 
 
-def test_add_listener_builds_multicast(region):
-    a, b = CountingListener(), CountingListener()
-    layer = InstrumentationLayer(enabled=True, listener=a)
-    layer.add_listener(b)
-    layer.enter(0, region, 0.0)
-    assert a.counts["enter"] == 1
-    assert b.counts["enter"] == 1
-    assert isinstance(layer.listener, MulticastListener)
-
-
-def test_add_listener_replaces_null():
-    layer = InstrumentationLayer(enabled=True)
-    assert isinstance(layer.listener, NullListener)
-    counting = CountingListener()
-    layer.add_listener(counting)
-    assert layer.listener is counting
-
-
-def test_recording_listener_tracks_current_instance(region):
-    reg = RegionRegistry()
-    task = reg.register("t", RegionType.TASK)
-    trace = ProgramTrace(1, reg)
-    rec = RecordingListener(trace)
-    rec.on_task_begin(0, task, 1, 1.0)
-    rec.on_enter(0, region, 2.0)
-    rec.on_exit(0, region, 3.0)
-    rec.on_task_end(0, task, 1, 4.0)
+def test_recording_listener_tracks_current_instance(registry, region):
+    task = registry.register("t", RegionType.TASK)
+    tracing = TracingSubstrate()
+    tracing.initialize(registry, 1, 0.0)
+    batch = EventBatch(registry)
+    batch.add_task_begin(0, task, 1, 1.0)
+    batch.add_enter(0, region, 2.0)
+    batch.add_exit(0, region, 3.0)
+    batch.add_task_end(0, task, 1, 4.0)
+    tracing.on_batch(batch)
+    trace = tracing.artifact()
     events = list(trace.stream(0))
     assert events[1].executing_instance == 1  # enter inside the task
-    # after task_end the implicit task is current again
-    rec.on_enter(0, region, 5.0)
+    # after task_end the implicit task is current again, across batches
+    batch.clear()
+    batch.add_enter(0, region, 5.0)
+    tracing.on_batch(batch)
     assert trace.stream(0)[-1].executing_instance == -1

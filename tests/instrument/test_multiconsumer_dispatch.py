@@ -2,12 +2,11 @@
 
 The contracts several consumers rely on simultaneously:
 
-* multicast fan-out preserves attachment order (profilers that shadow
-  state must see events before loggers that read it),
 * ``events_dispatched`` counts forwarded events only -- filter-suppressed
   events are tallied on the filter, not the layer,
+* task lifecycle events bypass the filter,
 * metrics piggy-back on an existing event boundary: delivered to every
-  listener but never counted or charged,
+  substrate but never counted or charged,
 * toggling ``enabled`` controls the effective cost without losing the
   configured ``per_event_cost``.
 """
@@ -15,11 +14,12 @@ The contracts several consumers rely on simultaneously:
 import pytest
 
 from repro.events import RegionRegistry, RegionType
-from repro.instrument import InstrumentationLayer, MulticastListener, Pomp2Listener
+from repro.instrument import InstrumentationLayer
 from repro.instrument.filtering import RegionFilter
+from repro.substrates import Substrate, SubstrateManager
 
 
-class JournalingListener(Pomp2Listener):
+class JournalingSubstrate(Substrate):
     """Appends (name, callback) tuples to a shared, order-sensitive log."""
 
     def __init__(self, name, journal):
@@ -39,39 +39,13 @@ class JournalingListener(Pomp2Listener):
         self.journal.append((self.name, "metric", tuple(counters)))
 
 
+def journaling_manager(journal, *names):
+    return SubstrateManager([JournalingSubstrate(name, journal) for name in names])
+
+
 @pytest.fixture()
 def registry():
     return RegionRegistry()
-
-
-def test_multicast_preserves_attachment_order(registry):
-    func = registry.register("f", RegionType.FUNCTION)
-    journal = []
-    layer = InstrumentationLayer(
-        listener=MulticastListener(
-            [JournalingListener("first", journal), JournalingListener("second", journal)]
-        )
-    )
-    layer.enter(0, func, 1.0)
-    layer.exit(0, func, 2.0)
-    assert journal == [
-        ("first", "enter", "f"),
-        ("second", "enter", "f"),
-        ("first", "exit", "f"),
-        ("second", "exit", "f"),
-    ]
-    assert layer.events_dispatched == 2
-
-
-def test_add_listener_upgrades_to_multicast(registry):
-    func = registry.register("f", RegionType.FUNCTION)
-    journal = []
-    layer = InstrumentationLayer(listener=JournalingListener("a", journal))
-    layer.add_listener(JournalingListener("b", journal))
-    layer.add_listener(JournalingListener("c", journal))
-    assert isinstance(layer.listener, MulticastListener)
-    layer.enter(0, func, 1.0)
-    assert [name for name, _, _ in journal] == ["a", "b", "c"]
 
 
 def test_dispatched_vs_suppressed_accounting(registry):
@@ -80,14 +54,16 @@ def test_dispatched_vs_suppressed_accounting(registry):
     journal = []
     layer = InstrumentationLayer(
         per_event_cost=1.0,
-        listener=JournalingListener("only", journal),
+        listener=journaling_manager(journal, "only"),
         region_filter=RegionFilter(exclude=("noise",)),
+        registry=registry,
     )
 
     layer.enter(0, measured, 1.0)
     layer.enter(0, filtered, 2.0)
     layer.exit(0, filtered, 3.0)
     layer.exit(0, measured, 4.0)
+    layer.flush()
 
     # Two events made it through, two were suppressed -- and the split is
     # visible on the right counters.
@@ -103,26 +79,27 @@ def test_task_lifecycle_events_bypass_the_filter(registry):
     task = registry.register("noise", RegionType.TASK)
     journal = []
     layer = InstrumentationLayer(
-        listener=JournalingListener("only", journal),
+        listener=journaling_manager(journal, "only"),
         region_filter=RegionFilter(exclude=("noise",)),
+        registry=registry,
     )
     # Even though the region name matches the exclude pattern, task
     # lifecycle events are never filtered (Score-P semantics: the task
     # tree must stay consistent).
     layer.task_begin(0, task, 1, 1.0)
+    layer.flush()
     assert layer.events_dispatched == 1
     assert journal == [("only", "task_begin", 1)]
 
 
 def test_metric_piggybacks_no_count_no_cost(registry):
     journal = []
+    manager = journaling_manager(journal, "a", "b")
     layer = InstrumentationLayer(
-        per_event_cost=2.0,
-        listener=MulticastListener(
-            [JournalingListener("a", journal), JournalingListener("b", journal)]
-        ),
+        per_event_cost=2.0, listener=manager, registry=registry
     )
     layer.metric(0, {"cache_misses": 41}, 1.0)
+    layer.flush()
     # Delivered to every consumer...
     assert journal == [
         ("a", "metric", ("cache_misses",)),
@@ -130,6 +107,7 @@ def test_metric_piggybacks_no_count_no_cost(registry):
     ]
     # ...but neither counted nor charged: it rides an existing boundary.
     assert layer.events_dispatched == 0
+    assert manager.events_delivered == 0
 
 
 def test_enabled_toggle_preserves_configured_cost(registry):
@@ -148,10 +126,11 @@ def test_disabled_layer_dispatches_nothing(registry):
     func = registry.register("f", RegionType.FUNCTION)
     journal = []
     layer = InstrumentationLayer(
-        enabled=False, listener=JournalingListener("x", journal)
+        enabled=False, listener=journaling_manager(journal, "x"), registry=registry
     )
     layer.enter(0, func, 1.0)
     layer.task_begin(0, func, 1, 2.0)
     layer.metric(0, {"c": 1}, 3.0)
+    layer.finish(4.0)
     assert journal == []
     assert layer.events_dispatched == 0

@@ -1,63 +1,20 @@
-"""Acceptance gate: the batched hot path changes *speed*, never *numbers*.
+"""Recorded runs on the columnar event path.
 
-ISSUE acceptance criteria, end to end:
-
-* fib / sort / nqueens export byte-identical cubes under the legacy
-  per-event path (``batch_events=False``) and the batched default;
-* ``events_dispatched`` agrees between the two paths (the satellite
-  fix: batched dispatch counts individual events, not flushes);
-* a *recorded* batched run replays and verifies MATCH;
+* a *recorded* run replays and verifies MATCH;
 * the recorder's on-disk region ids are the live registry handles --
   one shared intern table, no double interning.
+
+Cube identity of live runs is pinned by the golden corpus
+(``tests/test_golden_cubes.py``); event counting by
+``tests/instrument/test_batched_layer.py`` and
+``tests/substrates/test_batch_dispatch.py``.
 """
 
-import json
-
-import pytest
-
-from repro.analysis.experiment import run_app
-from repro.archive.store import content_hash
-from repro.cube.export import profile_to_dict
 from repro.events.batch import EventBatch
 from repro.events.regions import RegionRegistry, RegionType
 from repro.faults.campaign import run_tolerant
 from repro.recorder import verify_recording
 from repro.recorder.chunks import ChunkWriter, recover_chunks
-
-APPS = ["fib", "sort", "nqueens"]
-
-
-@pytest.fixture(scope="module", params=APPS)
-def pair(request):
-    app = request.param
-    legacy = run_app(app, size="test", n_threads=2, seed=0, batch_events=False)
-    batched = run_app(app, size="test", n_threads=2, seed=0)
-    return app, legacy, batched
-
-
-def test_both_paths_verify(pair):
-    app, legacy, batched = pair
-    assert legacy.verified, f"{app}: legacy run failed functional verification"
-    assert batched.verified, f"{app}: batched run failed functional verification"
-
-
-def test_cube_export_byte_identical(pair):
-    app, legacy, batched = pair
-    ld = profile_to_dict(legacy.profile)
-    bd = profile_to_dict(batched.profile)
-    assert bd == ld, f"{app}: batched cube dict diverges from legacy"
-    # Byte-level: canonical JSON and the archive content hash both agree.
-    canon = dict(sort_keys=True, separators=(",", ":"))
-    assert json.dumps(bd, **canon).encode() == json.dumps(ld, **canon).encode()
-    assert content_hash(batched.profile) == content_hash(legacy.profile)
-
-
-def test_events_dispatched_identical(pair):
-    app, legacy, batched = pair
-    assert (
-        batched.parallel.events_dispatched == legacy.parallel.events_dispatched
-    ), f"{app}: batched path miscounts dispatched events"
-    assert batched.parallel.events_dispatched > 0
 
 
 def test_recorded_batched_run_verifies_match(tmp_path):

@@ -15,8 +15,6 @@ import zlib
 
 import pytest
 
-from repro.analysis.experiment import run_app
-from repro.archive.store import content_hash
 from repro.errors import RecordingError
 from repro.events.batch import (
     F_PAYLOAD,
@@ -31,7 +29,6 @@ from repro.events.regions import RegionRegistry
 from repro.recorder import replay_recording, verify_recording
 from repro.recorder.chunks import MAGIC, ChunkWriter, recover_chunks
 from repro.recorder.store import events_path
-from repro.substrates.recorder import RecorderSubstrate
 
 from tests.recorder.streams import comparable, make_regions, write_stream
 
@@ -181,18 +178,6 @@ def test_payloads_round_trip(tmp_path):
     replayed = recover_chunks(path).frames[0].batch
     assert replayed.payloads == {0: ("depth", 3), 1: {"tasks_created": 4}}
     assert replayed.codes == batch.codes and replayed.counted == batch.counted
-
-
-def test_legacy_per_event_path_records_and_verifies(tmp_path):
-    """batch_events=False feeds the recorder's own batch: still MATCH."""
-    record_dir = str(tmp_path / "rec")
-    result = run_app(
-        "fib", size="test", n_threads=2, seed=0, batch_events=False,
-        substrates=("profiling", RecorderSubstrate(record_dir)),
-    )
-    report = verify_recording(record_dir, expected_sha=content_hash(result.profile))
-    assert report.matched, report.reasons
-    assert report.complete and report.chunks > 1
 
 
 # ----------------------------------------------------------------------

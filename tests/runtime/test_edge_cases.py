@@ -28,6 +28,14 @@ def test_config_validation():
         RuntimeConfig(steal_policy="roundrobin")
 
 
+def test_config_rejects_more_threads_than_event_codes_can_hold():
+    # The packed event code has 10 thread-id bits; thread 1024 would spill
+    # into the region id and be profiled on thread 0 under the wrong region.
+    assert RuntimeConfig(n_threads=1024).n_threads == 1024
+    with pytest.raises(ValueError, match="n_threads must be <= 1024"):
+        RuntimeConfig(n_threads=1025)
+
+
 def test_config_builders():
     config = RuntimeConfig()
     assert config.with_threads(8).n_threads == 8

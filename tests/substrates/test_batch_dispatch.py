@@ -3,13 +3,13 @@
 The columnar hot path hands whole :class:`EventBatch`\\ es to
 ``SubstrateManager.on_batch``.  These tests pin the contract:
 
-* the base-class fallback shim replays the same events in the same order
-  the per-event fan-out would deliver;
+* the base-class fallback shim replays the batch's events, in order,
+  through the per-event callbacks;
 * ``events_delivered`` counts individual events per batch, not flushes;
-* a non-essential substrate raising mid-batch is quarantined exactly as
-  under per-event dispatch, and an essential one aborts the run;
-* the satellite fix: ``extra_cost_per_event`` is cached at dispatch
-  rebuilds and stays stable across a mid-run quarantine.
+* a non-essential substrate raising mid-batch is quarantined, and an
+  essential one aborts the run;
+* ``extra_cost_per_event`` is cached at dispatch rebuilds and stays
+  stable across a mid-run quarantine.
 """
 
 import pytest
@@ -95,7 +95,7 @@ def test_shim_replays_same_events_same_order(regions):
     manager = SubstrateManager([batched])
     manager.initialize(reg, 2, 0.0)
 
-    # Legacy-style direct delivery to the reference probe...
+    # Direct per-event delivery to the reference probe...
     per_event.on_enter(0, r["f"], 1.0, None)
     per_event.on_task_begin(1, r["task"], 7, 2.0, ("n", 3))
     per_event.on_metric(0, {"cnt": 4}, 2.5)
@@ -166,7 +166,7 @@ def test_essential_substrate_exception_propagates(regions):
 
 
 # ----------------------------------------------------------------------
-# Satellite: extra_cost_per_event caching
+# extra_cost_per_event caching
 # ----------------------------------------------------------------------
 def test_extra_cost_cached_and_stable_across_quarantine(regions):
     reg, r = regions
@@ -182,7 +182,9 @@ def test_extra_cost_cached_and_stable_across_quarantine(regions):
 
     # Two enters survive, the third quarantines `bad` mid-run...
     for t in (1.0, 2.0, 3.0):
-        manager.on_enter(0, r["f"], t)
+        batch = EventBatch(reg)
+        batch.add_enter(0, r["f"], t)
+        manager.on_batch(batch)
     assert manager.quarantined("blowup")
     # ...and the charge must NOT drop: the cost model is part of the
     # deterministic virtual timeline.

@@ -1,8 +1,9 @@
-"""Unit tests for the built-in substrates, driven callback-by-callback."""
+"""Unit tests for the built-in substrates, driven batch by batch."""
 
 import pytest
 
 from repro.events import RegionRegistry, RegionType
+from repro.events.batch import EventBatch
 from repro.substrates import OnlineValidationSubstrate, StatsSubstrate
 
 
@@ -20,12 +21,14 @@ def test_stats_counts_per_kind_thread_and_region_type(registry):
     stats = StatsSubstrate()
     stats.initialize(registry, 2, 0.0)
 
-    stats.on_enter(0, func, 1.0)
-    stats.on_exit(0, func, 2.0)
-    stats.on_task_begin(1, task, 1, 3.0)
-    stats.on_task_switch(1, -2, 4.0)
-    stats.on_task_end(1, task, 1, 5.0)
-    stats.on_metric(0, {"c": 1}, 5.0)
+    batch = EventBatch(registry)
+    batch.add_enter(0, func, 1.0)
+    batch.add_exit(0, func, 2.0)
+    batch.add_task_begin(1, task, 1, 3.0)
+    batch.add_task_switch(1, -2, 4.0)
+    batch.add_task_end(1, task, 1, 5.0)
+    batch.add_metric(0, {"c": 1}, 5.0)
+    stats.on_batch(batch)
 
     artifact = stats.artifact()
     assert artifact["total_events"] == 5  # metric piggybacks, not counted
@@ -50,10 +53,12 @@ def test_validation_clean_sequence(registry):
     sub = OnlineValidationSubstrate()
     sub.initialize(registry, 1, 0.0)
 
-    sub.on_enter(0, func, 1.0)
-    sub.on_exit(0, func, 2.0)
-    sub.on_task_begin(0, task, 1, 3.0)
-    sub.on_task_end(0, task, 1, 4.0)
+    batch = EventBatch(registry)
+    batch.add_enter(0, func, 1.0)
+    batch.add_exit(0, func, 2.0)
+    batch.add_task_begin(0, task, 1, 3.0)
+    batch.add_task_end(0, task, 1, 4.0)
+    sub.on_batch(batch)
     sub.finalize(5.0)
 
     artifact = sub.artifact()
@@ -68,10 +73,12 @@ def test_validation_flags_corrupt_stream_online(registry):
     sub = OnlineValidationSubstrate()
     sub.initialize(registry, 1, 0.0)
 
-    sub.on_exit(0, func, 1.0)  # exit with no open region
-    sub.on_task_end(0, task, 7, 2.0)  # end of a never-begun instance
-    sub.on_enter(0, func, 1.5)  # timestamp going backwards
-    sub.on_task_begin(0, task, 1, 3.0)  # begun...
+    batch = EventBatch(registry)
+    batch.add_exit(0, func, 1.0)  # exit with no open region
+    batch.add_task_end(0, task, 7, 2.0)  # end of a never-begun instance
+    batch.add_enter(0, func, 1.5)  # timestamp going backwards
+    batch.add_task_begin(0, task, 1, 3.0)  # begun...
+    sub.on_batch(batch)
     sub.finalize(9.0)  # ...but never ended
 
     artifact = sub.artifact()
@@ -91,10 +98,12 @@ def test_validation_detects_cross_thread_double_begin(registry):
     sub = OnlineValidationSubstrate()
     sub.initialize(registry, 2, 0.0)
 
-    sub.on_task_begin(0, task, 1, 1.0)
-    sub.on_task_end(0, task, 1, 2.0)
-    sub.on_task_begin(1, task, 1, 3.0)  # same instance begun again elsewhere
-    sub.on_task_end(1, task, 1, 4.0)
+    batch = EventBatch(registry)
+    batch.add_task_begin(0, task, 1, 1.0)
+    batch.add_task_end(0, task, 1, 2.0)
+    batch.add_task_begin(1, task, 1, 3.0)  # same instance begun again elsewhere
+    batch.add_task_end(1, task, 1, 4.0)
+    sub.on_batch(batch)
     sub.finalize(5.0)
 
     artifact = sub.artifact()
@@ -109,10 +118,12 @@ def test_validation_allows_untied_migration_between_threads(registry):
 
     # Begin on thread 0, suspend, resume and end on thread 1: legal for
     # untied tasks, and the cross-thread known_active set proves it live.
-    sub.on_task_begin(0, task, 1, 1.0)
-    sub.on_task_switch(0, -1, 2.0)
-    sub.on_task_switch(1, 1, 3.0)
-    sub.on_task_end(1, task, 1, 4.0)
+    batch = EventBatch(registry)
+    batch.add_task_begin(0, task, 1, 1.0)
+    batch.add_task_switch(0, -1, 2.0)
+    batch.add_task_switch(1, 1, 3.0)
+    batch.add_task_end(1, task, 1, 4.0)
+    sub.on_batch(batch)
     sub.finalize(5.0)
 
     assert sub.artifact()["clean"] is True
@@ -122,7 +133,9 @@ def test_validation_caps_recorded_but_counts_all(registry):
     func = registry.register("f", RegionType.FUNCTION)
     sub = OnlineValidationSubstrate(max_recorded=3)
     sub.initialize(registry, 1, 0.0)
+    batch = EventBatch(registry)
     for i in range(10):
-        sub.on_exit(0, func, float(i))  # ten unmatched exits
+        batch.add_exit(0, func, float(i))  # ten unmatched exits
+    sub.on_batch(batch)
     assert sub.total_violations == 10
     assert len(sub.violations) == 3

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SubstrateError
 from repro.events import RegionRegistry, RegionType
+from repro.events.batch import EventBatch
 from repro.substrates import Substrate, SubstrateManager
 
 
@@ -52,8 +53,13 @@ class BrokenSubstrate(Substrate):
 
 
 @pytest.fixture()
-def region():
-    return RegionRegistry().register("r", RegionType.FUNCTION)
+def registry():
+    return RegionRegistry()
+
+
+@pytest.fixture()
+def region(registry):
+    return registry.register("r", RegionType.FUNCTION)
 
 
 def make_manager(*substrates):
@@ -62,13 +68,24 @@ def make_manager(*substrates):
     return manager
 
 
-def test_fanout_preserves_attachment_order(region):
+def enters(registry, region, *times):
+    """One batch per time: thread 0 enters ``region`` at that time."""
+    for time in times:
+        batch = EventBatch(registry)
+        batch.add_enter(0, region, time)
+        yield batch
+
+
+def test_fanout_preserves_attachment_order(registry, region):
     journal = []
     manager = make_manager(
         JournalingSubstrate("a", journal), JournalingSubstrate("b", journal)
     )
-    manager.on_enter(0, region, 1.0)
-    manager.on_exit(0, region, 2.0)
+    first, second = EventBatch(registry), EventBatch(registry)
+    first.add_enter(0, region, 1.0)
+    second.add_exit(0, region, 2.0)
+    manager.on_batch(first)
+    manager.on_batch(second)
     assert journal == [
         ("a", "enter", 0),
         ("b", "enter", 0),
@@ -83,20 +100,21 @@ def test_duplicate_names_rejected():
         SubstrateManager([JournalingSubstrate("x", []), JournalingSubstrate("x", [])])
 
 
-def test_nonessential_failure_quarantines_without_killing_others(region):
+def test_nonessential_failure_quarantines_without_killing_others(registry, region):
     journal = []
     survivor = JournalingSubstrate("survivor", journal)
     broken = BrokenSubstrate(fail_after=1)
     manager = make_manager(broken, survivor)
 
-    manager.on_enter(0, region, 1.0)  # broken sees event 1, survives
-    manager.on_enter(0, region, 2.0)  # broken raises -> quarantined
-    manager.on_enter(0, region, 3.0)  # only survivor left
+    # broken sees event 1 and survives, raises on event 2 and is
+    # quarantined; only the survivor receives event 3
+    for batch in enters(registry, region, 1.0, 2.0, 3.0):
+        manager.on_batch(batch)
 
     assert len(manager.incidents) == 1
     incident = manager.incidents[0]
     assert incident.substrate == "broken"
-    assert incident.callback == "on_enter"
+    assert incident.callback == "on_batch"
     assert "substrate exploded" in incident.error
     assert manager.quarantined("broken")
     assert not manager.quarantined("survivor")
@@ -110,41 +128,41 @@ def test_nonessential_failure_quarantines_without_killing_others(region):
     assert broken.seen == 2
 
 
-def test_essential_failure_propagates(region):
+def test_essential_failure_propagates(registry, region):
     manager = make_manager(BrokenSubstrate(essential=True))
     with pytest.raises(RuntimeError, match="substrate exploded"):
-        manager.on_enter(0, region, 1.0)
+        manager.on_batch(next(enters(registry, region, 1.0)))
     assert manager.incidents == []
 
 
-def test_quarantined_substrate_is_not_finalized(region):
+def test_quarantined_substrate_is_not_finalized(registry, region):
     healthy = JournalingSubstrate("healthy", [])
     broken = BrokenSubstrate(fail_after=0)
     manager = make_manager(broken, healthy)
-    manager.on_enter(0, region, 1.0)
+    manager.on_batch(next(enters(registry, region, 1.0)))
     manager.on_finish(9.0)
     assert healthy.finalized_at == 9.0
     assert manager.quarantined("broken")
 
 
-def test_extra_cost_is_summed_and_stable_across_quarantine(region):
+def test_extra_cost_is_summed_and_stable_across_quarantine(registry, region):
     broken = BrokenSubstrate(fail_after=0)
     broken.per_event_cost = 0.5
     cheap = JournalingSubstrate("cheap", [], per_event_cost=0.25)
     manager = make_manager(broken, cheap)
     assert manager.extra_cost_per_event == pytest.approx(0.75)
-    manager.on_enter(0, region, 1.0)  # quarantines broken
+    manager.on_batch(next(enters(registry, region, 1.0)))  # quarantines broken
     # Determinism: the charge is part of the virtual timeline and must
     # not change mid-run.
     assert manager.extra_cost_per_event == pytest.approx(0.75)
 
 
-def test_report_attributes_events_and_charge_per_substrate(region):
+def test_report_attributes_events_and_charge_per_substrate(registry, region):
     broken = BrokenSubstrate(fail_after=1)
     cheap = JournalingSubstrate("cheap", [], per_event_cost=0.25)
     manager = make_manager(broken, cheap)
-    for t in range(4):
-        manager.on_enter(0, region, float(t))
+    for batch in enters(registry, region, 0.0, 1.0, 2.0, 3.0):
+        manager.on_batch(batch)
     report = manager.report()
     assert report["cheap"]["events"] == 4
     assert report["cheap"]["charged_us"] == pytest.approx(1.0)
@@ -154,20 +172,22 @@ def test_report_attributes_events_and_charge_per_substrate(region):
     assert "substrate exploded" in report["broken"]["error"]
 
 
-def test_artifacts_cover_every_substrate_even_quarantined(region):
+def test_artifacts_cover_every_substrate_even_quarantined(registry, region):
     journal = []
     manager = make_manager(
         BrokenSubstrate(fail_after=0), JournalingSubstrate("j", journal)
     )
-    manager.on_enter(0, region, 1.0)
+    manager.on_batch(next(enters(registry, region, 1.0)))
     artifacts = manager.artifacts()
     assert set(artifacts) == {"broken", "j"}
     assert artifacts["j"] == [("j", "enter", 0)]
 
 
-def test_metric_and_phase_do_not_count_as_events(region):
+def test_metric_and_phase_do_not_count_as_events(registry):
     manager = make_manager(JournalingSubstrate("j", []))
-    manager.on_metric(0, {"c": 1}, 1.0)
+    batch = EventBatch(registry)
+    batch.add_metric(0, {"c": 1}, 1.0)
+    manager.on_batch(batch)
     manager.on_phase_begin("p")
     manager.on_phase_end("p")
     assert manager.events_delivered == 0

@@ -63,8 +63,6 @@ PROMISED = {
     "repro.instrument": [
         "InstrumentationLayer",
         "Pomp2Listener",
-        "NullListener",
-        "MulticastListener",
         "instrument_source",
         "instrument_function",
     ],
