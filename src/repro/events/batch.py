@@ -26,9 +26,10 @@ An event is **one append to each of two flat columns**:
 ``times``  (``array('d')``)
     the virtual timestamp per event, bit-exact.
 
-Both columns expose the buffer protocol, so a numpy-capable consumer
+Both columns expose the buffer protocol, so a vectorised consumer
 (:meth:`ClassicProfiler.consume_batch`, the stats substrate) can
-``np.frombuffer`` them with **zero copies**; consumers without numpy
+``np.frombuffer`` them with **zero copies**; per-event consumers (the
+:class:`~repro.substrates.base.Substrate` shim, the tracing substrate)
 iterate :meth:`EventBatch.rows`.
 
 Rare payloads (enter parameters, metric counter dicts) live out-of-band
@@ -138,7 +139,7 @@ class EventBatch:
         self.counted = 0
 
     # -- per-event appenders -------------------------------------------
-    # Convenience builders for tests, benchmarks and synthetic streams.
+    # Builders for event replay, tests, benchmarks and synthetic streams.
     # The instrumentation layer does NOT call these: it inlines the
     # appends so filling stays one frame per event.
     def add_enter(
@@ -213,8 +214,8 @@ class EventBatch:
         ``region`` is the interned :class:`Region` (``None`` for
         task-switch and metric rows), ``instance`` the signed task
         instance id (0 for region rows), ``payload`` the parameter tuple
-        or counters dict (usually ``None``).  This is the fallback-shim
-        decode loop: exact, allocation-light, and independent of numpy.
+        or counters dict (usually ``None``).  This is the per-event shim's
+        decode loop: exact and allocation-light.
         """
         lookup = self.registry.lookup
         payloads = self.payloads

@@ -9,7 +9,7 @@ region registry.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Type
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Type
 
 from repro.events.model import (
     AnyEvent,
@@ -105,6 +105,20 @@ class EventStream:
         return f"<EventStream thread={self.thread_id} events={len(self._events)}>"
 
 
+def merge_streams(streams: Iterable[Iterable[AnyEvent]]) -> List[AnyEvent]:
+    """Merge per-thread event sequences into global timestamp order.
+
+    Ties are broken by thread id, then original position, which is
+    deterministic because per-stream order is already total.
+    """
+    indexed: List[tuple] = []
+    for stream in streams:
+        for position, event in enumerate(stream):
+            indexed.append((event.time, event.thread_id, position, event))
+    indexed.sort(key=lambda item: (item[0], item[1], item[2]))
+    return [item[3] for item in indexed]
+
+
 class ProgramTrace:
     """All per-thread streams of one run plus the shared region registry."""
 
@@ -150,17 +164,8 @@ class ProgramTrace:
         return sum(len(s) for s in self.streams)
 
     def merged(self) -> List[AnyEvent]:
-        """All events of all threads in global timestamp order.
-
-        Ties are broken by thread id, then original position, which is
-        deterministic because per-stream order is already total.
-        """
-        indexed: List[tuple] = []
-        for stream in self.streams:
-            for position, event in enumerate(stream):
-                indexed.append((event.time, event.thread_id, position, event))
-        indexed.sort(key=lambda item: (item[0], item[1], item[2]))
-        return [item[3] for item in indexed]
+        """All events of all threads in global timestamp order."""
+        return merge_streams(self.streams)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ProgramTrace threads={self.n_threads} events={self.total_events()}>"

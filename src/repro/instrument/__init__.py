@@ -21,13 +21,11 @@ analogue: an AST source-to-source pass inserting enter/exit hooks into
 plain Python functions.
 """
 
-from repro.instrument.pomp2 import Pomp2Listener
 from repro.instrument.filtering import MANAGEMENT_REGIONS_FILTER, RegionFilter
 from repro.instrument.layer import InstrumentationLayer
 from repro.instrument.ast_instrumenter import instrument_source, instrument_function
 
 __all__ = [
-    "Pomp2Listener",
     "InstrumentationLayer",
     "RegionFilter",
     "MANAGEMENT_REGIONS_FILTER",

@@ -3,16 +3,12 @@
 The recorder's checkpoints need a *consistent* cube partial while the
 measured run is still mutating the profiler.  The approach: clone the
 whole profiler (call trees, instance table, pools, concurrency
-trackers), then force-finish the **copy** with the lenient salvage path
-so in-flight task instances are quarantined instead of crashing the
-snapshot.  The live profiler is never touched -- strict mode, governed
-wrappers, everything keeps running untouched.
-
-Cloning is safe here because the lenient/governed handler shadowing
-installs *bound methods as instance attributes*; both pickle's and
-deepcopy's memoization rebind those to the copy, so the clone's
-handlers mutate the clone.  The simulated runtime is single-threaded
-per run, so there is no torn-state race to worry about either.
+trackers), give the **copy** a salvage ledger, which makes it lenient,
+and finish it, so in-flight task instances are quarantined instead of
+crashing the snapshot.  The live profiler is never touched -- strict
+mode, governor, everything keeps running untouched.  The simulated
+runtime is single-threaded per run, so there is no torn-state race to
+worry about either.
 """
 
 from __future__ import annotations
@@ -31,8 +27,7 @@ def _clone_profiler(profiler: TaskProfiler) -> TaskProfiler:
     snapshot's whole cost: a ``pickle`` round-trip is several times
     faster than ``copy.deepcopy`` on real call trees and produces the
     same object graph.  Profilers holding unpicklable state (e.g. a
-    governed wrapper closing over gauge callables) fall back to
-    ``deepcopy``.
+    governor whose gauges are lambdas) fall back to ``deepcopy``.
     """
     try:
         return pickle.loads(
@@ -46,7 +41,7 @@ def snapshot_profiler(profiler: TaskProfiler, time: float):
     """Return a finished :class:`~repro.profiling.profile.Profile`
     reflecting the profiler's state at ``time``, without disturbing it.
 
-    In-flight task instances in the copy are quarantined by the salvage
+    In-flight task instances in the copy are quarantined by the lenient
     finish, so the snapshot's ``salvage`` section records exactly how
     partial the partial is.
     """
@@ -57,7 +52,7 @@ def snapshot_profiler(profiler: TaskProfiler, time: float):
     if clone.salvage is None:
         clone.salvage = SalvageReport()
     clone.salvage.note(f"checkpoint snapshot at t={time:g}")
-    TaskProfiler._salvage_on_finish(clone, time)
+    clone.on_finish(time)
     return clone.build_profile()
 
 

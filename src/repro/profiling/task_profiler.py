@@ -42,13 +42,16 @@ from repro.events.batch import (
     K_TASK_END,
     K_TASK_SWITCH,
     KIND_MASK,
+    KIND_NAMES,
     RID_MASK,
     RID_SHIFT,
     TID_MASK,
     TID_SHIFT,
+    unzigzag,
 )
 from repro.events.model import InstanceId, is_implicit
 from repro.events.regions import Region, RegionType
+from repro.governor import L1_EAGER_RELEASE, L2_AGGREGATES_ONLY, L3_STUB_ONLY
 from repro.profiling.calltree import CallTreeNode
 from repro.profiling.memory import ConcurrencyTracker
 from repro.profiling.pool import NodePool
@@ -423,17 +426,16 @@ class TaskProfiler:
 
     The instance table is shared across threads so that untied tasks may
     migrate (Section IV-D1); each event is routed to the executing
-    thread's profiler.  The profiler implements the POMP2-style listener
-    protocol (:class:`repro.instrument.pomp2.Pomp2Listener`) plus
-    ``on_batch`` for the columnar batches the instrumentation layer fills.
+    thread's profiler.  Events arrive only as columnar batches through
+    :meth:`on_batch` -- live runs, recorder replay and salvage alike --
+    and the measurement ends with :meth:`on_finish`.
 
     ``strict=False`` selects *lenient* (salvage) mode: instead of raising
     :class:`~repro.errors.ProfileError` on an inconsistent event, the
     profiler drops the event or quarantines the offending task instance
-    and records the incident in :attr:`salvage`.  The lenient handlers
-    are installed as *instance* attributes shadowing the class methods,
-    so the default strict path is byte-identical to the original
-    implementation -- no per-event mode check on the hot path.
+    and records the incident in :attr:`salvage`.  A ``governor`` applies
+    its degradation ladder to every new task instance.  Both modes run
+    in the same decode loop as the strict default.
     """
 
     def __init__(
@@ -461,32 +463,17 @@ class TaskProfiler:
         self.finished = False
         self._finish_time: Optional[float] = None
         self.strict = strict
+        #: the lenient ledger; ``None`` is what makes a profiler strict
         self.salvage = None
         if not strict:
             from repro.profiling.salvage import SalvageReport
 
             self.salvage = SalvageReport()
-            # Shadow the listener entry points with the lenient variants.
-            self.on_enter = self._salvage_on_enter  # type: ignore[method-assign]
-            self.on_exit = self._salvage_on_exit  # type: ignore[method-assign]
-            self.on_task_begin = self._salvage_on_task_begin  # type: ignore[method-assign]
-            self.on_task_switch = self._salvage_on_task_switch  # type: ignore[method-assign]
-            self.on_task_end = self._salvage_on_task_end  # type: ignore[method-assign]
-            self.on_finish = self._salvage_on_finish  # type: ignore[method-assign]
         self.governor = governor
         if governor is not None:
-            # Governed wrappers compose on top of whichever handlers are
-            # installed (strict class methods or lenient instance
-            # attributes); with no governor nothing here runs and the
-            # hot path stays byte-identical.
+            # Instances begun under the governor, by accounting kind.
             self._gov_live: set = set()
             self._gov_stub: set = set()
-            self._base_on_task_begin = self.on_task_begin
-            self._base_on_task_end = self.on_task_end
-            self.on_task_begin = self._governed_on_task_begin  # type: ignore[method-assign]
-            self.on_task_end = self._governed_on_task_end  # type: ignore[method-assign]
-            from repro.governor import L1_EAGER_RELEASE, L2_AGGREGATES_ONLY
-
             governor.attach_gauge(
                 "pool_nodes",
                 # held_count (free list + virgin slab stock) keeps the
@@ -501,32 +488,6 @@ class TaskProfiler:
         """Region enters folded away by the call-path depth limit."""
         return sum(t.truncated_enters for t in self.threads)
 
-    # -- listener protocol -------------------------------------------------
-    def on_enter(self, thread_id: int, region: Region, time: float, parameter=None) -> None:
-        self.threads[thread_id].enter(region, time, parameter)
-
-    def on_exit(self, thread_id: int, region: Region, time: float) -> None:
-        self.threads[thread_id].exit(region, time)
-
-    def on_task_begin(
-        self, thread_id: int, region: Region, instance: InstanceId, time: float, parameter=None
-    ) -> None:
-        self.threads[thread_id].task_begin(region, instance, time, parameter)
-
-    def on_task_switch(self, thread_id: int, instance: InstanceId, time: float) -> None:
-        profiler = self.threads[thread_id]
-        if not is_implicit(instance):
-            data = self.instance_table.get(instance)
-            if data is None:
-                raise ProfileError(f"task_switch to unknown instance {instance}")
-        profiler.task_switch(instance, time)
-
-    def on_task_end(self, thread_id: int, region: Region, instance: InstanceId, time: float) -> None:
-        self.threads[thread_id].task_end(region, instance, time)
-
-    def on_metric(self, thread_id: int, counters: dict, time: float) -> None:
-        self.threads[thread_id].metric(counters)
-
     def on_phase_begin(self, name: str) -> None:
         for thread in self.threads:
             thread.concurrency.start_phase(name)
@@ -536,120 +497,153 @@ class TaskProfiler:
             thread.concurrency.end_phase()
 
     def on_finish(self, time: float) -> None:
-        """End of measurement: close every thread's implicit root."""
-        if self.instance_table:
-            raise ProfileError(
-                f"measurement finished with active instances: "
-                f"{sorted(self.instance_table)}"
-            )
-        for thread in self.threads:
-            thread.finish(time)
+        """End of measurement: close every thread's implicit root.
+
+        A lenient profiler quarantines the instances still active and
+        force-closes whatever regions are still open; a strict one
+        raises on either.
+        """
+        if self.salvage is not None:
+            for instance in sorted(self.instance_table):
+                self._quarantine(instance, time, "still active at end of measurement")
+            for thread in self.threads:
+                thread.salvage_finish(time)
+        else:
+            if self.instance_table:
+                raise ProfileError(
+                    f"measurement finished with active instances: "
+                    f"{sorted(self.instance_table)}"
+                )
+            for thread in self.threads:
+                thread.finish(time)
         self.finished = True
         self._finish_time = time
 
     # -- batched dispatch --------------------------------------------------
     def on_batch(self, batch) -> None:
-        """Consume one columnar event batch (the deferred-analysis path).
+        """Consume one columnar event batch: the profiler's only way in.
 
-        Strict ungoverned mode -- the hot path -- decodes each packed
-        code and calls the per-thread handlers directly, saving the
-        listener-protocol frame per event.  Lenient or governed mode
-        replays through ``self.on_*`` attribute lookup instead, so the
-        shadowed salvage/governed handlers observe every event exactly
-        as under per-event dispatch.  Either way the event sequence each
-        :class:`ThreadTaskProfiler` sees is identical to the legacy
-        path, which is what keeps the cubes byte-identical.
+        One loop decodes each packed code and calls the executing
+        thread's handler.  The loop sits inside one ``try`` and iterates
+        a shared ``enumerate``, so after a lenient profiler absorbs a
+        :class:`~repro.errors.ProfileError` the loop resumes at the next
+        event; a strict profiler re-raises it.  Enter and exit carry no
+        per-event mode check.  A strict switch to an unknown instance
+        raises before the thread leaves its current task, so a strict
+        failure leaves the state untouched.  Governed begins ask the
+        governor for the ladder level first (which may raise
+        :class:`~repro.errors.MemoryPressureStop` in any mode).
         """
         codes = batch.codes
         times = batch.times
         payloads = batch.payloads
         lookup = batch.registry.lookup
-        if not self.strict or self.governor is not None:
-            on_enter = self.on_enter
-            on_exit = self.on_exit
-            on_task_begin = self.on_task_begin
-            on_task_end = self.on_task_end
-            on_task_switch = self.on_task_switch
-            on_metric = self.on_metric
-            for i, code in enumerate(codes):
-                kind = code & KIND_MASK
-                tid = (code >> TID_SHIFT) & TID_MASK
-                if kind == K_ENTER:
-                    on_enter(
-                        tid,
-                        lookup((code >> RID_SHIFT) & RID_MASK),
-                        times[i],
-                        payloads[i] if code & F_PAYLOAD else None,
-                    )
-                elif kind == K_EXIT:
-                    on_exit(tid, lookup((code >> RID_SHIFT) & RID_MASK), times[i])
-                elif kind == K_TASK_BEGIN:
-                    zz = code >> INST_SHIFT
-                    on_task_begin(
-                        tid,
-                        lookup((code >> RID_SHIFT) & RID_MASK),
-                        (zz >> 1) if not zz & 1 else -((zz + 1) >> 1),
-                        times[i],
-                        payloads[i] if code & F_PAYLOAD else None,
-                    )
-                elif kind == K_TASK_END:
-                    zz = code >> INST_SHIFT
-                    on_task_end(
-                        tid,
-                        lookup((code >> RID_SHIFT) & RID_MASK),
-                        (zz >> 1) if not zz & 1 else -((zz + 1) >> 1),
-                        times[i],
-                    )
-                elif kind == K_TASK_SWITCH:
-                    zz = code >> INST_SHIFT
-                    on_task_switch(
-                        tid, (zz >> 1) if not zz & 1 else -((zz + 1) >> 1), times[i]
-                    )
-                elif kind == K_METRIC:
-                    on_metric(tid, payloads[i], times[i])
-            return
         threads = self.threads
         instance_table = self.instance_table
-        for i, code in enumerate(codes):
-            kind = code & KIND_MASK
-            thread = threads[(code >> TID_SHIFT) & TID_MASK]
-            if kind == K_ENTER:
-                thread.enter(
-                    lookup((code >> RID_SHIFT) & RID_MASK),
-                    times[i],
-                    payloads[i] if code & F_PAYLOAD else None,
-                )
-            elif kind == K_EXIT:
-                thread.exit(lookup((code >> RID_SHIFT) & RID_MASK), times[i])
-            elif kind == K_TASK_BEGIN:
-                zz = code >> INST_SHIFT
-                thread.task_begin(
-                    lookup((code >> RID_SHIFT) & RID_MASK),
-                    (zz >> 1) if not zz & 1 else -((zz + 1) >> 1),
-                    times[i],
-                    payloads[i] if code & F_PAYLOAD else None,
-                )
-            elif kind == K_TASK_END:
-                zz = code >> INST_SHIFT
-                thread.task_end(
-                    lookup((code >> RID_SHIFT) & RID_MASK),
-                    (zz >> 1) if not zz & 1 else -((zz + 1) >> 1),
-                    times[i],
-                )
-            elif kind == K_TASK_SWITCH:
-                zz = code >> INST_SHIFT
-                instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
-                if instance >= 0 and instance_table.get(instance) is None:
-                    raise ProfileError(
-                        f"task_switch to unknown instance {instance}"
-                    )
-                thread.task_switch(instance, times[i])
-            elif kind == K_METRIC:
-                thread.metric(payloads[i])
+        salvage = self.salvage
+        governor = self.governor
+        tracked = salvage is not None or governor is not None
+        if salvage is not None:
+            salvage.events_seen += batch.counted
+        rows = enumerate(codes)
+        while True:
+            try:
+                for i, code in rows:
+                    kind = code & KIND_MASK
+                    thread = threads[(code >> TID_SHIFT) & TID_MASK]
+                    if kind == K_ENTER:
+                        thread.enter(
+                            lookup((code >> RID_SHIFT) & RID_MASK),
+                            times[i],
+                            payloads[i] if code & F_PAYLOAD else None,
+                        )
+                    elif kind == K_EXIT:
+                        thread.exit(lookup((code >> RID_SHIFT) & RID_MASK), times[i])
+                    elif kind == K_TASK_BEGIN:
+                        zz = code >> INST_SHIFT
+                        instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
+                        parameter = payloads[i] if code & F_PAYLOAD else None
+                        if governor is None:
+                            thread.task_begin(
+                                lookup((code >> RID_SHIFT) & RID_MASK),
+                                instance,
+                                times[i],
+                                parameter,
+                            )
+                            continue
+                        time = times[i]
+                        level = governor.check(time)
+                        if level >= L2_AGGREGATES_ONLY:
+                            # Aggregates-only: drop the per-instance parameter
+                            # split so all instances of the construct merge
+                            # into one subtree.
+                            parameter = None
+                        data = thread.task_begin(
+                            lookup((code >> RID_SHIFT) & RID_MASK),
+                            instance,
+                            time,
+                            parameter,
+                        )
+                        stub = level >= L3_STUB_ONLY
+                        governor.note_instance_begun(time, stub=stub)
+                        if stub:
+                            data.stub_only = True
+                            self._gov_stub.add(instance)
+                        else:
+                            self._gov_live.add(instance)
+                    elif kind == K_TASK_END:
+                        zz = code >> INST_SHIFT
+                        instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
+                        thread.task_end(
+                            lookup((code >> RID_SHIFT) & RID_MASK), instance, times[i]
+                        )
+                        if tracked:
+                            if salvage is not None:
+                                salvage.instances_completed += 1
+                            if governor is not None:
+                                self._governor_completed(instance)
+                    elif kind == K_TASK_SWITCH:
+                        zz = code >> INST_SHIFT
+                        instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
+                        if (
+                            instance >= 0
+                            and salvage is None
+                            and instance_table.get(instance) is None
+                        ):
+                            raise ProfileError(
+                                f"task_switch to unknown instance {instance}"
+                            )
+                        thread.task_switch(instance, times[i])
+                    elif kind == K_METRIC:
+                        thread.metric(payloads[i])
+                return
+            except ProfileError as exc:
+                if salvage is None:
+                    raise
+                self._absorb(exc, code, times[i], lookup)
 
-    # -- lenient (salvage) listener variants -------------------------------
-    # Installed as instance attributes by __init__(strict=False); the class
-    # methods above stay untouched for the strict hot path.
+    # -- lenient (salvage) policy ------------------------------------------
+    def _absorb(self, exc: ProfileError, code: int, time: float, lookup) -> None:
+        """Account for one event the strict algorithm rejected.
+
+        A failed enter, exit or switch is dropped with a note (a failed
+        switch has already left the current task, a consistent state to
+        continue from); a failed begin or end quarantines its instance.
+        """
+        salvage = self.salvage
+        salvage.events_dropped += 1
+        kind = code & KIND_MASK
+        instance = unzigzag(code >> INST_SHIFT)
+        if kind == K_TASK_BEGIN or kind == K_TASK_END:
+            self._quarantine(instance, time, f"{KIND_NAMES[kind]} failed: {exc}")
+            if kind == K_TASK_END and self.governor is not None:
+                self._governor_completed(instance)
+        elif kind == K_TASK_SWITCH:
+            salvage.note(f"dropped task_switch to {instance}: {exc}")
+        else:
+            region = lookup((code >> RID_SHIFT) & RID_MASK)
+            salvage.note(f"dropped {KIND_NAMES[kind]} {region.name!r}: {exc}")
+
     def _quarantine(self, instance: InstanceId, time: float, reason: str) -> None:
         """Evict an instance whose event history cannot be trusted."""
         self.salvage.quarantine(instance, reason)
@@ -665,62 +659,16 @@ class TaskProfiler:
         if data.home_pool is not None:
             data.home_pool.release_tree(data.root)
 
-    def _salvage_on_enter(self, thread_id, region, time, parameter=None) -> None:
-        self.salvage.events_seen += 1
-        try:
-            self.threads[thread_id].enter(region, time, parameter)
-        except ProfileError as exc:
-            self.salvage.events_dropped += 1
-            self.salvage.note(f"dropped enter {region.name!r}: {exc}")
+    # -- governor ----------------------------------------------------------
+    def _governor_completed(self, instance: InstanceId) -> None:
+        """Tell the governor an instance it saw begin has ended."""
+        if instance in self._gov_stub:
+            self._gov_stub.discard(instance)
+            self.governor.note_instance_completed(stub=True)
+        elif instance in self._gov_live:
+            self._gov_live.discard(instance)
+            self.governor.note_instance_completed(stub=False)
 
-    def _salvage_on_exit(self, thread_id, region, time) -> None:
-        self.salvage.events_seen += 1
-        try:
-            self.threads[thread_id].exit(region, time)
-        except ProfileError as exc:
-            self.salvage.events_dropped += 1
-            self.salvage.note(f"dropped exit {region.name!r}: {exc}")
-
-    def _salvage_on_task_begin(self, thread_id, region, instance, time, parameter=None) -> None:
-        self.salvage.events_seen += 1
-        try:
-            self.threads[thread_id].task_begin(region, instance, time, parameter)
-        except ProfileError as exc:
-            self.salvage.events_dropped += 1
-            self._quarantine(instance, time, f"task_begin failed: {exc}")
-
-    def _salvage_on_task_switch(self, thread_id, instance, time) -> None:
-        self.salvage.events_seen += 1
-        try:
-            self.threads[thread_id].task_switch(instance, time)
-        except ProfileError as exc:
-            # task_switch leaves the thread on its implicit task when the
-            # target is unusable, which is a consistent state to continue
-            # from; the failed switch itself is simply not performed.
-            self.salvage.events_dropped += 1
-            self.salvage.note(f"dropped task_switch to {instance}: {exc}")
-
-    def _salvage_on_task_end(self, thread_id, region, instance, time) -> None:
-        self.salvage.events_seen += 1
-        try:
-            self.threads[thread_id].task_end(region, instance, time)
-            self.salvage.instances_completed += 1
-        except ProfileError as exc:
-            self.salvage.events_dropped += 1
-            self._quarantine(instance, time, f"task_end failed: {exc}")
-
-    def _salvage_on_finish(self, time) -> None:
-        for instance in sorted(self.instance_table):
-            self._quarantine(instance, time, "still active at end of measurement")
-        for thread in self.threads:
-            thread.salvage_finish(time)
-        self.finished = True
-        self._finish_time = time
-
-    # -- governed listener variants ----------------------------------------
-    # Installed as instance attributes by __init__(governor=...); they wrap
-    # whatever task_begin/task_end handlers were installed below them
-    # (strict or lenient) and apply the degradation ladder to new instances.
     def _ladder_eager_release(self) -> None:
         """L1: pools stop retaining freed nodes (eager reclamation)."""
         for thread in self.threads:
@@ -733,37 +681,6 @@ class TaskProfiler:
         for thread in self.threads:
             thread.pool.max_free = max_free
             thread.pool.trim(max_free)
-
-    def _governed_on_task_begin(self, thread_id, region, instance, time, parameter=None) -> None:
-        from repro.governor import L2_AGGREGATES_ONLY, L3_STUB_ONLY
-
-        governor = self.governor
-        level = governor.check(time)  # may raise MemoryPressureStop (L4)
-        stub = level >= L3_STUB_ONLY
-        if level >= L2_AGGREGATES_ONLY:
-            # Aggregates-only: drop the per-instance parameter split so
-            # all instances of the construct merge into one subtree.
-            parameter = None
-        self._base_on_task_begin(thread_id, region, instance, time, parameter)
-        data = self.instance_table.get(instance)
-        if data is None:
-            # Lenient base handler dropped/quarantined the begin.
-            return
-        governor.note_instance_begun(time, stub=stub)
-        if stub:
-            data.stub_only = True
-            self._gov_stub.add(instance)
-        else:
-            self._gov_live.add(instance)
-
-    def _governed_on_task_end(self, thread_id, region, instance, time) -> None:
-        self._base_on_task_end(thread_id, region, instance, time)
-        if instance in self._gov_stub:
-            self._gov_stub.discard(instance)
-            self.governor.note_instance_completed(stub=True)
-        elif instance in self._gov_live:
-            self._gov_live.discard(instance)
-            self.governor.note_instance_completed(stub=False)
 
     # -- results -----------------------------------------------------------
     def build_profile(self):

@@ -66,8 +66,7 @@ class ProfilingSubstrate(Substrate):
         )
         self.profiler = profiler
         # Short-circuit dispatch: the profiler decodes whole batches
-        # itself (routing lenient/governed runs through its salvage and
-        # governed per-event handlers).
+        # itself, in strict, lenient and governed mode alike.
         self.on_batch = profiler.on_batch
         self.on_phase_begin = profiler.on_phase_begin
         self.on_phase_end = profiler.on_phase_end

@@ -18,6 +18,7 @@ from repro.events import (
     replay_events,
     replay_trace,
 )
+from repro.events.batch import K_ENTER, K_EXIT, KIND_NAMES
 from repro.events.model import implicit_instance_id
 from repro.events.validate import collect_task_stream_violations
 
@@ -142,23 +143,15 @@ def test_repair_streams_merges_per_thread_logs(regions):
 
 
 class _CallRecorder:
+    """Records every replayed batch row, then the finish time."""
+
     def __init__(self):
         self.calls = []
 
-    def on_enter(self, thread_id, region, time, parameter=None):
-        self.calls.append(("enter", thread_id, region.name, time))
-
-    def on_exit(self, thread_id, region, time):
-        self.calls.append(("exit", thread_id, region.name, time))
-
-    def on_task_begin(self, thread_id, region, instance, time, parameter=None):
-        self.calls.append(("task_begin", thread_id, instance, time))
-
-    def on_task_end(self, thread_id, region, instance, time):
-        self.calls.append(("task_end", thread_id, instance, time))
-
-    def on_task_switch(self, thread_id, instance, time):
-        self.calls.append(("task_switch", thread_id, instance, time))
+    def on_batch(self, batch):
+        for kind, thread_id, region, time, instance, _ in batch.rows():
+            what = region if kind in (K_ENTER, K_EXIT) else instance
+            self.calls.append((KIND_NAMES[kind], thread_id, what, time))
 
     def on_finish(self, time):
         self.calls.append(("finish", time))
@@ -169,10 +162,10 @@ def test_replay_dispatches_in_order_and_finishes(regions):
     end = replay_events(clean_stream(regions), listener)
     assert end == 3.0
     assert listener.calls == [
-        ("enter", 0, "foo", 0.0),
+        ("enter", 0, regions["foo"], 0.0),
         ("task_begin", 0, 1, 1.0),
         ("task_end", 0, 1, 2.0),
-        ("exit", 0, "foo", 3.0),
+        ("exit", 0, regions["foo"], 3.0),
         ("finish", 3.0),
     ]
 
