@@ -123,11 +123,17 @@ class InstrumentationLayer:
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Hand the filled batch to the listener, then reset it in place."""
+        """Hand the filled batch to the listener, then reset it in place.
+
+        The batch is reset even when the listener raises: some consumers
+        may already have taken it, so it must never be dispatched twice.
+        """
         batch = self.batch
         if batch.codes:
-            self.listener.on_batch(batch)
-            batch.clear()
+            try:
+                self.listener.on_batch(batch)
+            finally:
+                batch.clear()
 
     def sched_point(self) -> None:
         """Scheduling-point hook: drain if past the soft threshold."""

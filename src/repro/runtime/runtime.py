@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.errors import RuntimeModelError, WatchdogTimeout
+from repro.errors import ReproError, RuntimeModelError, WatchdogTimeout
 from repro.events.regions import Region, RegionRegistry, RegionType
 from repro.events.stream import ProgramTrace
 from repro.instrument.layer import InstrumentationLayer
@@ -402,16 +402,27 @@ class OpenMPRuntime:
 
         start = self.env.now
         watchdog = self.config.watchdog_us
-        if watchdog is None:
-            self.env.run()
-        else:
-            self.env.run(until=start + watchdog)
-            if self.env.pending():
-                raise WatchdogTimeout(
-                    f"parallel region {name!r} exceeded its watchdog deadline "
-                    f"of {watchdog:g} virtual µs with {self.env.pending()} "
-                    f"event(s) still queued (blocked: {self.env.blocked_report()})"
-                )
+        try:
+            if watchdog is None:
+                self.env.run()
+            else:
+                self.env.run(until=start + watchdog)
+                if self.env.pending():
+                    raise WatchdogTimeout(
+                        f"parallel region {name!r} exceeded its watchdog deadline "
+                        f"of {watchdog:g} virtual µs with {self.env.pending()} "
+                        f"event(s) still queued (blocked: {self.env.blocked_report()})"
+                    )
+        except ReproError:
+            # The events emitted before the abort are all that crash
+            # salvage (the tracing and recorder substrates) will ever
+            # see, so hand the pending batch over.  A batch whose own
+            # dispatch raised was cleared by flush and is not sent again.
+            try:
+                self.instr.flush()
+            except Exception:
+                pass  # the run's own error is the one to report
+            raise
         duration = self.env.now - start
 
         if injector is not None and self.trace is not None:
