@@ -4,13 +4,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.profiling.calltree import CallTreeNode
 from repro.profiling.profile import Profile
-
-try:  # numpy backs the flat aggregations; the dict path is exact too
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None
 
 
 def _flat_by_handle(profile: Profile, include_stubs: bool):
@@ -20,22 +17,20 @@ def _flat_by_handle(profile: Profile, include_stubs: bool):
     is handle -> Region in first-encounter order and the three arrays are
     indexable by handle.  ``np.bincount`` accumulates each bin in row
     order (a sequential C fold), so the per-handle sums are bit-identical
-    to the dict accumulation the pure-Python path performs.  Returns
-    ``None`` when numpy is unavailable or the profile is empty.
+    to accumulating a dict row by row.  Returns
+    ``None`` when the profile is empty.
     """
-    if _np is None:
-        return None
     handles, regions, exclusive, inclusive, visits = profile.flat_metric_columns(
         include_stubs
     )
     if not handles:
         return None
-    h = _np.asarray(handles, dtype=_np.int64)
+    h = np.asarray(handles, dtype=np.int64)
     minlength = int(h.max()) + 1
-    excl = _np.bincount(h, weights=_np.asarray(exclusive), minlength=minlength)
-    incl = _np.bincount(h, weights=_np.asarray(inclusive), minlength=minlength)
-    vis = _np.bincount(
-        h, weights=_np.asarray(visits, dtype=_np.float64), minlength=minlength
+    excl = np.bincount(h, weights=np.asarray(exclusive), minlength=minlength)
+    incl = np.bincount(h, weights=np.asarray(inclusive), minlength=minlength)
+    vis = np.bincount(
+        h, weights=np.asarray(visits, dtype=np.float64), minlength=minlength
     )
     return regions, excl, incl, vis
 
@@ -70,8 +65,8 @@ def top_regions(
 
     Array-backed: the per-handle sums come from one ``bincount`` over the
     profile's flat metric columns; names combine handle subtotals in
-    first-encounter order, so results match the row-by-row dict fold
-    exactly (the numpy-less fallback below).
+    first-encounter order, so results match a row-by-row dict fold
+    exactly.
     """
     if metric not in ("exclusive", "inclusive"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -82,16 +77,6 @@ def top_regions(
         column = excl if metric == "exclusive" else incl
         for handle, region in regions.items():
             totals[region.name] = totals.get(region.name, 0.0) + float(column[handle])
-    else:
-        roots: List[CallTreeNode] = list(profile.main_trees)
-        for per_thread in profile.task_trees:
-            roots.extend(per_thread.values())
-        for root in roots:
-            for node in root.walk():
-                if node.is_stub and not include_stubs:
-                    continue
-                value = node.exclusive_time if metric == "exclusive" else node.metrics.inclusive_time
-                totals[node.region.name] = totals.get(node.region.name, 0.0) + value
     ranked = sorted(totals.items(), key=lambda kv: kv[1], reverse=True)
     return ranked[:limit]
 
@@ -102,8 +87,7 @@ def flat_region_profile(profile: Profile) -> Dict[str, Dict[str, float]]:
     Returns ``region name -> {exclusive, inclusive, visits}`` summed over
     every occurrence in every tree (stub nodes excluded, since their time
     is an alternate attribution of task execution).  Array-backed via the
-    profile's flat metric columns, falling back to the original dict fold
-    when numpy is unavailable.
+    profile's flat metric columns.
     """
     flat: Dict[str, Dict[str, float]] = {}
     grouped = _flat_by_handle(profile, include_stubs=False)
@@ -116,20 +100,6 @@ def flat_region_profile(profile: Profile) -> Dict[str, Dict[str, float]]:
             entry["exclusive"] += float(excl[handle])
             entry["inclusive"] += float(incl[handle])
             entry["visits"] += int(vis[handle])
-        return flat
-    roots: List[CallTreeNode] = list(profile.main_trees)
-    for per_thread in profile.task_trees:
-        roots.extend(per_thread.values())
-    for root in roots:
-        for node in root.walk():
-            if node.is_stub:
-                continue
-            entry = flat.setdefault(
-                node.region.name, {"exclusive": 0.0, "inclusive": 0.0, "visits": 0}
-            )
-            entry["exclusive"] += node.exclusive_time
-            entry["inclusive"] += node.metrics.inclusive_time
-            entry["visits"] += node.metrics.visits
     return flat
 
 

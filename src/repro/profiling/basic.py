@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import EventOrderError
 from repro.events.batch import (
     F_PAYLOAD,
@@ -25,11 +27,6 @@ from repro.events.batch import (
 from repro.events.model import EnterEvent, ExitEvent
 from repro.events.regions import Region
 from repro.profiling.calltree import CallTreeNode
-
-try:  # numpy accelerates consume_batch; the pure-Python path is exact too
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None
 
 #: A frame is (node, enter_time).
 Frame = Tuple[CallTreeNode, float]
@@ -139,8 +136,7 @@ class ClassicProfiler:
         Bit-identity notes: segment sums use Python's builtin ``sum``
         (a strict left fold, identical to repeated ``+=``); numpy is
         used only for masking, grouping and min/max (comparisons are
-        order-free and exact).  Without numpy the whole batch replays
-        per-event -- same results, legacy speed.
+        order-free and exact).
 
         Raises :class:`~repro.errors.EventOrderError` on task-lifecycle
         or metric events (the classic algorithm cannot represent them)
@@ -156,26 +152,8 @@ class ClassicProfiler:
         payloads = batch.payloads
         enter = self.enter
         exit_ = self.exit
-        if _np is None:
-            times = batch.times
-            for j in range(n):
-                code = codes[j]
-                kind = code & KIND_MASK
-                if kind == K_ENTER:
-                    enter(
-                        lookup((code >> RID_SHIFT) & RID_MASK),
-                        times[j],
-                        payloads.get(j),
-                    )
-                elif kind == K_EXIT:
-                    exit_(lookup((code >> RID_SHIFT) & RID_MASK), times[j])
-                else:
-                    raise EventOrderError(
-                        f"classic profiler cannot process batch event kind {kind}"
-                    )
-            return
-        cd = _np.frombuffer(codes, dtype=_np.int64)
-        tm = _np.frombuffer(batch.times, dtype=_np.float64)
+        cd = np.frombuffer(codes, dtype=np.int64)
+        tm = np.frombuffer(batch.times, dtype=np.float64)
         kinds = cd & KIND_MASK
         if kinds.max() > K_EXIT:
             bad = int(kinds[kinds > K_EXIT][0])
@@ -193,7 +171,7 @@ class ClassicProfiler:
             & (rids[:-1] == rids[1:])
             & ((cd[:-1] & F_PAYLOAD) == 0)
         )
-        pair_i = _np.nonzero(lp)[0]
+        pair_i = np.nonzero(lp)[0]
         if pair_i.size == 0:
             kl = kinds.tolist()
             rl = rids.tolist()
@@ -205,24 +183,24 @@ class ClassicProfiler:
                     exit_(lookup(rl[j]), tl[j])
             return
         # Residuals = everything not covered by a pair, in stream order.
-        res_mask = _np.ones(n, dtype=bool)
+        res_mask = np.ones(n, dtype=bool)
         res_mask[pair_i] = False
         res_mask[pair_i + 1] = False
-        res_i = _np.nonzero(res_mask)[0]
+        res_i = np.nonzero(res_mask)[0]
         # Each pair belongs to the *gap* after `gaps[k]` residuals; pairs
         # in the same gap with the same region fold into one segment.
-        gaps = _np.searchsorted(res_i, pair_i)
+        gaps = np.searchsorted(res_i, pair_i)
         durs = tm[pair_i + 1] - tm[pair_i]
         # Key layout: gap index above the full 20-bit region id (the id
         # is already right-aligned here, unlike in the packed code).
-        keys = (gaps.astype(_np.int64) << _GAP_SHIFT) | rids[pair_i]
-        order = _np.argsort(keys, kind="stable")
+        keys = (gaps.astype(np.int64) << _GAP_SHIFT) | rids[pair_i]
+        order = np.argsort(keys, kind="stable")
         sk = keys[order]
         sd = durs[order]
-        cut = _np.nonzero(sk[1:] != sk[:-1])[0] + 1
-        starts = _np.concatenate((_np.zeros(1, dtype=_np.intp), cut))
-        mins = _np.minimum.reduceat(sd, starts).tolist()
-        maxs = _np.maximum.reduceat(sd, starts).tolist()
+        cut = np.nonzero(sk[1:] != sk[:-1])[0] + 1
+        starts = np.concatenate((np.zeros(1, dtype=np.intp), cut))
+        mins = np.minimum.reduceat(sd, starts).tolist()
+        maxs = np.maximum.reduceat(sd, starts).tolist()
         seg_key = sk[starts].tolist()
         starts_l = starts.tolist()
         starts_l.append(sd.size)
@@ -234,7 +212,7 @@ class ClassicProfiler:
         # within a segment, so the segment's start holds its first pair;
         # pairs in gap g all precede pairs in gap g+1, keeping this
         # iteration gap-monotonic for the residual-replay loop below.)
-        seg_order = _np.argsort(pair_i[order][starts]).tolist()
+        seg_order = np.argsort(pair_i[order][starts]).tolist()
         kl = kinds[res_i].tolist()
         rl = rids[res_i].tolist()
         tml = tm[res_i].tolist()

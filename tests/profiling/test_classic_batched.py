@@ -3,8 +3,8 @@
 The vectorized leaf-pair peel is only worth having if it is *bit*-
 identical to the legacy algorithm on every stream shape: deep nesting,
 flat leaf storms, parameterized enters (which split call-tree children
-and must take the residual path), multi-batch splits at arbitrary
-boundaries, and the numpy-less fallback.  Error behavior must match too:
+and must take the residual path), and multi-batch splits at arbitrary
+boundaries.  Error behavior must match too:
 task/metric kinds, mismatched exits, and exits on an empty stack raise
 :class:`EventOrderError` exactly as the per-event methods do.
 """
@@ -208,28 +208,4 @@ def test_exit_on_empty_stack_raises(workload):
     batch = EventBatch(reg)
     batch.add_exit(0, functions[0], 1.0)
     with pytest.raises(EventOrderError, match="no open region"):
-        ClassicProfiler(main).consume_batch(batch)
-
-
-# ----------------------------------------------------------------------
-# Pure-Python fallback
-# ----------------------------------------------------------------------
-def test_numpy_less_fallback_identical(workload, monkeypatch):
-    reg, main, functions = workload
-    events = _random_stream(functions, 400, 0.6, seed=9)
-    with_np = _run_batched(reg, main, events, split=64)
-    monkeypatch.setattr("repro.profiling.basic._np", None)
-    without_np = _run_batched(reg, main, events, split=64)
-    assert _tree_equal(without_np, with_np)
-    assert _tree_equal(without_np, _run_legacy(main, events))
-
-
-def test_numpy_less_fallback_errors_match(workload, monkeypatch):
-    reg, main, _ = workload
-    monkeypatch.setattr("repro.profiling.basic._np", None)
-    task = reg.register("task2", RegionType.TASK)
-    batch = EventBatch(reg)
-    batch.add_enter(0, main, 0.0)
-    batch.add_task_begin(0, task, 1, 1.0)
-    with pytest.raises(EventOrderError, match="cannot process"):
         ClassicProfiler(main).consume_batch(batch)
