@@ -561,36 +561,36 @@ class TaskProfiler:
                         thread.exit(lookup((code >> RID_SHIFT) & RID_MASK), times[i])
                     elif kind == K_TASK_BEGIN:
                         zz = code >> INST_SHIFT
-                        instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
-                        parameter = payloads[i] if code & F_PAYLOAD else None
                         if governor is None:
                             thread.task_begin(
                                 lookup((code >> RID_SHIFT) & RID_MASK),
-                                instance,
+                                (zz >> 1) if not zz & 1 else -((zz + 1) >> 1),
                                 times[i],
+                                payloads[i] if code & F_PAYLOAD else None,
+                            )
+                        else:
+                            instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
+                            time = times[i]
+                            level = governor.check(time)
+                            parameter = payloads[i] if code & F_PAYLOAD else None
+                            if level >= L2_AGGREGATES_ONLY:
+                                # Aggregates-only: drop the per-instance
+                                # parameter split so all instances of the
+                                # construct merge into one subtree.
+                                parameter = None
+                            data = thread.task_begin(
+                                lookup((code >> RID_SHIFT) & RID_MASK),
+                                instance,
+                                time,
                                 parameter,
                             )
-                            continue
-                        time = times[i]
-                        level = governor.check(time)
-                        if level >= L2_AGGREGATES_ONLY:
-                            # Aggregates-only: drop the per-instance parameter
-                            # split so all instances of the construct merge
-                            # into one subtree.
-                            parameter = None
-                        data = thread.task_begin(
-                            lookup((code >> RID_SHIFT) & RID_MASK),
-                            instance,
-                            time,
-                            parameter,
-                        )
-                        stub = level >= L3_STUB_ONLY
-                        governor.note_instance_begun(time, stub=stub)
-                        if stub:
-                            data.stub_only = True
-                            self._gov_stub.add(instance)
-                        else:
-                            self._gov_live.add(instance)
+                            stub = level >= L3_STUB_ONLY
+                            governor.note_instance_begun(time, stub=stub)
+                            if stub:
+                                data.stub_only = True
+                                self._gov_stub.add(instance)
+                            else:
+                                self._gov_live.add(instance)
                     elif kind == K_TASK_END:
                         zz = code >> INST_SHIFT
                         instance = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
