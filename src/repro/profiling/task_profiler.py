@@ -462,7 +462,6 @@ class TaskProfiler:
         ]
         self.finished = False
         self._finish_time: Optional[float] = None
-        self.strict = strict
         #: the lenient ledger; ``None`` is what makes a profiler strict
         self.salvage = None
         if not strict:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ProfileError
 from repro.events import RegionRegistry, RegionType
 from repro.events.batch import EventBatch
+from repro.governor import MemoryBudget, ResourceGovernor
 from repro.profiling import SalvageReport, TaskProfiler
 
 
@@ -80,6 +81,49 @@ def test_lenient_switch_to_unknown_instance_is_dropped(reg, regions):
     profiler.on_finish(2.0)
     assert profiler.salvage.events_dropped == 1
     assert profiler.salvage.partial
+
+
+def test_lenient_loop_resumes_after_a_dropped_event(reg, regions):
+    profiler = TaskProfiler(1, regions["impl"], strict=False)
+    batch = EventBatch(reg)
+    batch.add_exit(0, regions["foo"], 0.5)  # nothing open: dropped
+    batch.add_task_begin(0, regions["A"], 1, 1.0)
+    batch.add_task_end(0, regions["A"], 1, 2.0)
+    profiler.on_batch(batch)
+    report = profiler.salvage
+    assert (report.events_seen, report.events_dropped) == (3, 1)
+    assert report.instances_completed == 1
+    assert any(n.startswith("dropped exit 'foo'") for n in report.notes)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_failed_switch_leaves_the_current_task_only_when_lenient(reg, regions, strict):
+    profiler = TaskProfiler(1, regions["impl"], strict=strict)
+    begin = EventBatch(reg)
+    begin.add_task_begin(0, regions["A"], 1, 1.0)
+    profiler.on_batch(begin)
+    switch = EventBatch(reg)
+    switch.add_task_switch(0, 42, 2.0)
+    if strict:
+        with pytest.raises(ProfileError, match="unknown instance 42"):
+            profiler.on_batch(switch)
+        assert profiler.threads[0].current.instance == 1
+    else:
+        profiler.on_batch(switch)
+        assert profiler.threads[0].current is None
+        assert profiler.instance_table[1].suspended
+
+
+def test_governed_end_bookkeeping_runs_after_a_failed_lenient_end(reg, regions):
+    governor = ResourceGovernor(MemoryBudget(max_live_instances=100))
+    profiler = TaskProfiler(1, regions["impl"], strict=False, governor=governor)
+    batch = EventBatch(reg)
+    batch.add_task_begin(0, regions["A"], 1, 1.0)
+    batch.add_enter(0, regions["foo"], 1.5)
+    batch.add_task_end(0, regions["A"], 1, 2.0)  # foo still open: end fails
+    profiler.on_batch(batch)
+    assert 1 in profiler.salvage.instances_quarantined
+    assert governor.live_instances == 0
 
 
 def test_salvage_report_roundtrip_and_summary():
