@@ -51,7 +51,6 @@ from repro.events.batch import (
 )
 from repro.events.model import InstanceId, is_implicit
 from repro.events.regions import Region, RegionType
-from repro.governor import L1_EAGER_RELEASE, L2_AGGREGATES_ONLY, L3_STUB_ONLY
 from repro.profiling.calltree import CallTreeNode
 from repro.profiling.memory import ConcurrencyTracker
 from repro.profiling.pool import NodePool
@@ -473,6 +472,8 @@ class TaskProfiler:
             # Instances begun under the governor, by accounting kind.
             self._gov_live: set = set()
             self._gov_stub: set = set()
+            from repro.governor import L1_EAGER_RELEASE, L2_AGGREGATES_ONLY
+
             governor.attach_gauge(
                 "pool_nodes",
                 # held_count (free list + virgin slab stock) keeps the
@@ -544,6 +545,8 @@ class TaskProfiler:
         tracked = salvage is not None or governor is not None
         if salvage is not None:
             salvage.events_seen += batch.counted
+        if governor is not None:
+            from repro.governor import L2_AGGREGATES_ONLY, L3_STUB_ONLY
         rows = enumerate(codes)
         while True:
             try:
