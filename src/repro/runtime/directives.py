@@ -32,8 +32,8 @@ class Compute:
     counters: Optional[dict] = None
 
     def __post_init__(self) -> None:
-        if self.us < 0:
-            raise ValueError(f"negative compute time: {self.us}")
+        if not self.us >= 0:
+            raise ValueError(f"negative compute time (or NaN): {self.us}")
         if self.counters is not None:
             for name, value in self.counters.items():
                 if not isinstance(name, str):

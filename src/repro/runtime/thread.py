@@ -42,7 +42,6 @@ from repro.runtime.directives import (
     TaskYield,
 )
 from repro.runtime.task import TaskInstance, TaskState
-from repro.sim.process import Timeout
 
 
 class WorkerThread:
@@ -68,6 +67,13 @@ class WorkerThread:
         #: tasks executed (fresh dispatches) by this thread
         self.tasks_executed = 0
         self.tasks_stolen = 0
+        #: the pool-lock request this thread yields; it holds no state
+        self._acquire_pool = runtime.pool_lock.acquire()
+        #: the pool lock's contention-free scaling 1 + beta*(T-1), fixed
+        #: for the run
+        self._coherence = 1.0 + runtime.costs.coherence_beta * (
+            runtime.config.n_threads - 1
+        )
 
     # ------------------------------------------------------------------
     # Small cost/emission helpers
@@ -76,14 +82,14 @@ class WorkerThread:
         """Charge ``us`` virtual time into an accounting bucket."""
         if us > 0.0:
             self.stats[bucket] += us
-            yield Timeout(us)
+            yield us
 
     def _emit_enter(self, region: Region, parameter: Optional[tuple] = None):
         rt = self.rt
         cost = rt.instr.region_cost(region)
         if cost:
             self.stats["instr"] += cost
-            yield Timeout(cost)
+            yield cost
         rt.instr.enter(self.id, region, rt.env.now, parameter)
 
     def _emit_exit(self, region: Region):
@@ -91,7 +97,7 @@ class WorkerThread:
         cost = rt.instr.region_cost(region)
         if cost:
             self.stats["instr"] += cost
-            yield Timeout(cost)
+            yield cost
         rt.instr.exit(self.id, region, rt.env.now)
 
     def _emit_task_begin(self, task: TaskInstance):
@@ -99,7 +105,7 @@ class WorkerThread:
         cost = rt.instr.cost
         if cost:
             self.stats["instr"] += cost
-            yield Timeout(cost)
+            yield cost
         rt.instr.task_begin(
             self.id, task.region, task.instance_id, rt.env.now, task.parameter
         )
@@ -109,7 +115,7 @@ class WorkerThread:
         cost = rt.instr.cost
         if cost:
             self.stats["instr"] += cost
-            yield Timeout(cost)
+            yield cost
         rt.instr.task_end(self.id, task.region, task.instance_id, rt.env.now)
 
     def _emit_task_switch(self, instance_id: int):
@@ -117,7 +123,7 @@ class WorkerThread:
         cost = rt.instr.cost
         if cost:
             self.stats["instr"] += cost
-            yield Timeout(cost)
+            yield cost
         rt.instr.task_switch(self.id, instance_id, rt.env.now)
 
     def _locked(self, base_cost: float):
@@ -130,17 +136,16 @@ class WorkerThread:
         rt = self.rt
         lock = rt.pool_lock
         t0 = rt.env.now
-        yield lock.acquire()
+        yield self._acquire_pool
         wait = rt.env.now - t0
-        costs = rt.costs
         hold = (
             base_cost
-            * (1.0 + costs.coherence_beta * (rt.config.n_threads - 1))
-            * (1.0 + costs.contention_alpha * lock.waiter_count)
+            * self._coherence
+            * (1.0 + rt.costs.contention_alpha * lock.waiter_count)
         )
         self.stats["mgmt"] += wait + hold
         if hold > 0.0:
-            yield Timeout(hold)
+            yield hold
 
     def _unlock(self, wake: bool = False) -> None:
         self.rt.pool_lock.release()
@@ -209,7 +214,7 @@ class WorkerThread:
             if kind is Compute:
                 self.stats["work"] += directive.us
                 if directive.us > 0.0:
-                    yield Timeout(directive.us)
+                    yield directive.us
                 if directive.counters:
                     rt.instr.metric(self.id, directive.counters, rt.env.now)
             elif kind is Spawn:
@@ -493,25 +498,46 @@ class WorkerThread:
         return None, False
 
     def _dispatch(self, task: TaskInstance, fresh: bool):
-        """Run one fragment of an explicit task, then settle its fate."""
+        """Run one fragment of an explicit task, then settle its fate.
+
+        This is the per-task hot path, so the switch charge and the
+        begin/switch/end emissions are written out here instead of going
+        through :meth:`_pay` and the ``_emit_*`` helpers.
+        """
         rt = self.rt
+        instr = rt.instr
+        stats = self.stats
         task.state = TaskState.RUNNING
         task.executing_thread = self.id
         previous = self.current
         self.current = task
-        yield from self._pay(rt.costs.task_switch_us, "mgmt")
+        us = rt.costs.task_switch_us
+        if us > 0.0:
+            stats["mgmt"] += us
+            yield us
         if fresh:
             task.owner_thread = self.id
             self.tasks_executed += 1
-            yield from self._emit_task_begin(task)
+        cost = instr.cost
+        if cost:
+            stats["instr"] += cost
+            yield cost
+        if fresh:
+            instr.task_begin(
+                self.id, task.region, task.instance_id, rt.env.now, task.parameter
+            )
         else:
-            yield from self._emit_task_switch(task.instance_id)
+            instr.task_switch(self.id, task.instance_id, rt.env.now)
         status = yield from self._run_fragment(task)
         self.current = previous
         if status == "completed":
             task.state = TaskState.COMPLETED
             task.executing_thread = None
-            yield from self._emit_task_end(task)
+            cost = instr.cost
+            if cost:
+                stats["instr"] += cost
+                yield cost
+            instr.task_end(self.id, task.region, task.instance_id, rt.env.now)
             yield from self._locked(rt.costs.task_complete_us)
             rt.outstanding_tasks -= 1
             rt.completed_tasks += 1

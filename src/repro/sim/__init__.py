@@ -14,13 +14,19 @@ Design points:
   number; all randomness used by higher layers flows through
   :class:`~repro.sim.rng.DeterministicRNG`.
 * **Processes** are plain Python generators that yield *requests*
-  (:class:`~repro.sim.process.Timeout`, lock acquisitions,
-  :class:`~repro.sim.core.SimEvent` waits).  The kernel never inspects user
-  frames, so higher layers are free to drive *their own* nested generators
-  (the simulated runtime drives task-body generators this way).
+  (a bare ``float``/``int`` delay or a :class:`~repro.sim.process.Timeout`,
+  lock acquisitions, :class:`~repro.sim.core.SimEvent` waits).  The kernel
+  never inspects user frames, so higher layers are free to drive *their
+  own* nested generators (the simulated runtime drives task-body
+  generators this way).
+* **Inline resume**: a process that would be the next event popped anyway
+  continues without a heap round trip; the event order is exactly that of
+  queueing every resume (see :mod:`repro.sim.process`).
 * **Deadlock detection**: if the event queue drains while processes are
   still blocked, :class:`repro.errors.DeadlockError` is raised with a
-  description of every stuck process.
+  description of every stuck process.  Descriptions are formatted only
+  when such a report (or :meth:`~repro.sim.core.Environment.blocked_report`)
+  asks for them.
 """
 
 from repro.sim.core import Environment, SimEvent

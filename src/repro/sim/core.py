@@ -5,14 +5,22 @@ The :class:`Environment` owns a binary-heap event queue of
 monotonically increasing integer that breaks ties between events scheduled
 for the same virtual time, which makes the whole simulation deterministic:
 two runs with identical inputs replay identical event orders.
+
+A process may also continue without a queue entry when it would be the
+next event popped anyway (see :meth:`repro.sim.process.Process._resume`);
+:meth:`Environment.schedule` therefore counts heap round trips, not
+process steps.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Set, Tuple
 
 from repro.errors import DeadlockError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.process import Process
 
 Callback = Callable[[Any], None]
 
@@ -23,19 +31,23 @@ class Environment:
     Attributes
     ----------
     now:
-        Current virtual time in microseconds.  Only :meth:`run` advances it.
+        Current virtual time in microseconds.  Only :meth:`run` advances
+        it, either by popping an event or by letting the running process
+        continue inline.
     """
 
-    __slots__ = ("now", "_queue", "_seq", "_active", "_blocked")
+    __slots__ = ("now", "_queue", "_seq", "_until", "_live")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._queue: List[Tuple[float, int, Callback, Any]] = []
         self._seq: int = 0
-        # Number of live processes; used for deadlock detection.
-        self._active: int = 0
-        # Debug registry of blocked process descriptions keyed by id.
-        self._blocked: dict[int, str] = {}
+        #: horizon of the current :meth:`run`; a process never continues
+        #: inline past it
+        self._until: float = float("inf")
+        #: processes that have not finished; deadlock detection and the
+        #: blocked report read them
+        self._live: Set["Process"] = set()
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -43,11 +55,12 @@ class Environment:
     def schedule(self, delay: float, callback: Callback, value: Any = None) -> None:
         """Schedule ``callback(value)`` to run ``delay`` µs from now.
 
-        ``delay`` must be non-negative; a zero delay schedules the callback
-        after all callbacks already queued for the current instant.
+        ``delay`` must be non-negative (NaN is rejected too); a zero delay
+        schedules the callback after all callbacks already queued for the
+        current instant.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"negative delay (or NaN): {delay!r}")
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, self._seq, callback, value))
 
@@ -65,20 +78,21 @@ class Environment:
         :class:`~repro.errors.DeadlockError` if the queue drains while
         registered processes are still blocked.
         """
+        self._until = horizon = float("inf") if until is None else until
         queue = self._queue
         while queue:
             time, _seq, callback, value = heapq.heappop(queue)
-            if until is not None and time > until:
+            if time > horizon:
                 # Push the event back: the caller may resume the run later.
                 heapq.heappush(queue, (time, _seq, callback, value))
                 self.now = until
                 return self.now
             self.now = time
             callback(value)
-        if self._active > 0:
-            details = "; ".join(sorted(self._blocked.values())) or "<no detail>"
+        if self._live:
+            details = "; ".join(self._blocked()) or "<no detail>"
             raise DeadlockError(
-                f"event queue drained with {self._active} process(es) still "
+                f"event queue drained with {len(self._live)} process(es) still "
                 f"blocked: {details}"
             )
         return self.now
@@ -89,22 +103,19 @@ class Environment:
 
     def blocked_report(self) -> str:
         """Human-readable list of currently blocked processes."""
-        return "; ".join(sorted(self._blocked.values())) or "<none>"
+        return "; ".join(self._blocked()) or "<none>"
 
-    # ------------------------------------------------------------------
-    # Process bookkeeping (used by repro.sim.process)
-    # ------------------------------------------------------------------
-    def _register_process(self) -> None:
-        self._active += 1
+    def _blocked(self) -> List[str]:
+        """Sorted descriptions of the live processes waiting on something.
 
-    def _unregister_process(self) -> None:
-        self._active -= 1
-
-    def _note_blocked(self, key: int, description: str) -> None:
-        self._blocked[key] = description
-
-    def _note_unblocked(self, key: int) -> None:
-        self._blocked.pop(key, None)
+        Built on demand: a process only records *what* it waits on.
+        """
+        return sorted(
+            f"{proc.name} waiting on "
+            f"{'event' if isinstance(proc.waiting, SimEvent) else proc.waiting}"
+            for proc in self._live
+            if proc.waiting is not None
+        )
 
 
 class SimEvent:
