@@ -223,7 +223,7 @@ def test_fast_path_matches_heap_only_reference(program, until):
 
 
 def test_fast_path_skips_heap_round_trips():
-    """A lone process never queues its delays; the clock still advances."""
+    """A lone process queues neither its delays nor its free-lock grants."""
     pushes = []
 
     class CountingEnvironment(Environment):
@@ -232,45 +232,18 @@ def test_fast_path_skips_heap_round_trips():
             super().schedule(delay, callback, value)
 
     env = CountingEnvironment()
+    lock = SimLock(env, "l")
 
     def ticker():
         for d in (1.0, 2, np.float64(0.5), Timeout(0.5), 0.0):
             yield d
+            yield lock.acquire()
+            lock.release()
 
     proc = Process(env, ticker())
     assert env.run() == 4.0 and proc.done
     assert pushes == [0.0]  # the start only
-
-
-def test_inline_resume_stops_at_the_run_horizon():
-    env = Environment()
-    seen = []
-
-    def ticker():
-        for _ in range(4):
-            yield 1.0
-            seen.append(env.now)
-
-    Process(env, ticker())
-    env.run(until=2.5)
-    assert (seen, env.now, env.pending()) == ([1.0, 2.0], 2.5, 1)
-    env.run()
-    assert (seen, env.now, env.pending()) == ([1.0, 2.0, 3.0, 4.0], 4.0, 0)
-
-
-def test_free_lock_grant_counts_like_a_queued_grant():
-    env = Environment()
-    lock = SimLock(env, "l")
-
-    def user():
-        for _ in range(3):
-            yield lock.acquire()
-            yield 1.0
-            lock.release()
-
-    Process(env, user())
-    env.run()
-    assert (lock.acquisitions, lock.contended_acquisitions, lock.held) == (3, 0, False)
+    assert (lock.acquisitions, lock.contended_acquisitions) == (5, 0)
 
 
 # ----------------------------------------------------------------------
