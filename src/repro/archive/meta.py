@@ -106,12 +106,14 @@ class RunMeta:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunMeta":
-        known = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known}
+        kwargs = {k: v for k, v in data.items() if k in _RUN_META_FIELDS}
         kwargs["substrates"] = tuple(kwargs.get("substrates") or ())
         kwargs["tags"] = tuple(kwargs.get("tags") or ())
         kwargs["extra"] = dict(kwargs.get("extra") or {})
         return cls(**kwargs)
+
+
+_RUN_META_FIELDS = frozenset(f.name for f in dataclasses.fields(RunMeta))
 
 
 def meta_for_result(

@@ -24,6 +24,28 @@ journal does: corruption never makes the archive refuse to answer, the
 worst case is a missing record.  Only :meth:`ArchiveStore.gc` and
 ``fsck --repair`` rewrite the whole index.
 
+**The index view.**  Each :class:`ArchiveStore` keeps one incremental
+view of ``index.jsonl``: the byte offset it has consumed, the last line
+it consumed, ``run_id -> ArchiveRecord`` and the run-id high-water
+mark.  Every read -- and ``put``, under the lock -- first checks that
+the index is still the file the view holds open and still carries the
+last consumed line just before the offset (which also fails when the
+file shrank below the offset).  If so, only the appended bytes are
+parsed (another process's appends included); otherwise the view
+rescans from byte 0.  Holding the file open makes the identity check
+sound: a rewritten index can never be given the inode number the view
+is still reading.  Only
+newline-terminated lines advance the offset (:func:`repro.ioutil.scan`);
+an unterminated tail is parsed on every call and never cached, so a
+complete last record lacking its newline is still returned and a torn
+fragment is skipped, exactly as :func:`repro.ioutil.read` treats both,
+until the next append seals it.  Records handed out are never mutated:
+a ``tag`` line replaces its run's record in the view.  ``put`` only
+needs the high-water mark, so a store that has not been asked for
+records yet tracks the mark alone, and a fresh process (a supervisor
+worker) pays one scan of the index, without building records, on its
+first ``put``.
+
 Record types::
 
     {"type":"run","run_id":"r0001","sha256":...,"created":...,"meta":{...}}
@@ -31,7 +53,7 @@ Record types::
     {"type":"counter","last_run":7}   # id high-water mark left by gc
 
 Run ids are allocated monotonically: the next id is one past the
-highest serial ever recorded, scanning every raw ``run`` line plus the
+highest serial ever recorded, counting every raw ``run`` line plus the
 ``counter`` high-water record :meth:`ArchiveStore.gc` writes when it
 prunes the index.  Pruned ids are therefore never reused -- a run id
 keeps naming the same run for the archive's whole life.
@@ -39,11 +61,14 @@ keeps naming the same run for the archive's whole life.
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import hashlib
 import json
 import os
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -131,6 +156,135 @@ class ArchiveRecord:
         )
 
 
+def _fold(records: Dict[str, ArchiveRecord], entry: dict) -> None:
+    """Apply one index entry to ``run_id -> record``.
+
+    A ``tag`` replaces its run's record rather than mutating it, so a
+    record once handed out never changes.
+    """
+    kind = entry.get("type")
+    if kind == "run":
+        try:
+            record = ArchiveRecord.from_dict(entry)
+        except (KeyError, TypeError, ValueError):
+            return
+        records[record.run_id] = record
+    elif kind == "tag":
+        run_id = entry.get("run_id")
+        record = records.get(run_id)
+        tag = entry.get("tag")
+        if record is not None and tag and tag not in record.extra_tags:
+            records[run_id] = dataclasses.replace(
+                record, extra_tags=record.extra_tags + [tag]
+            )
+
+
+class _IndexView:
+    """One store's incremental view of ``index.jsonl`` (module docstring)."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self._mutex = threading.Lock()
+        self._fd: Optional[int] = None
+        self._close: Optional[weakref.finalize] = None
+        #: (st_dev, st_ino, pid) of the open index; a forked child reopens
+        self._identity: Optional[tuple] = None
+        self._reset(build=False)
+
+    def _reset(self, build: bool) -> None:
+        self._offset = 0
+        self._last = b""
+        self._serial = 0
+        self._records: Optional[Dict[str, ArchiveRecord]] = {} if build else None
+
+    def _attach(self, build: bool) -> bool:
+        """(Re)open the index and start over from byte 0."""
+        if self._close is not None:
+            self._close()
+            self._fd = self._close = self._identity = None
+        self._reset(build)
+        try:
+            fd = os.open(self.path, os.O_RDONLY)
+        except FileNotFoundError:
+            return False
+        stat = os.fstat(fd)
+        self._fd = fd
+        self._close = weakref.finalize(self, os.close, fd)
+        self._identity = (stat.st_dev, stat.st_ino, os.getpid())
+        return True
+
+    def _refresh(self, build: bool) -> Optional[dict]:
+        """Consume the complete lines appended since the last call.
+
+        With ``build`` (or once records exist) runs are folded into
+        records; otherwise only the high-water mark is kept.  Returns
+        the unterminated last line's record, which is not consumed.
+        """
+        build = build or self._records is not None
+        if build and self._records is None:
+            self._reset(build)
+        try:
+            stat = os.stat(self.path)
+        except FileNotFoundError:
+            self._attach(build)
+            return None
+        if self._identity != (stat.st_dev, stat.st_ino, os.getpid()):
+            if not self._attach(build):
+                return None
+        elif (
+            os.pread(self._fd, len(self._last), self._offset - len(self._last))
+            != self._last
+        ):
+            # Rewritten in place, or shrunk below the offset: a read
+            # past the end comes back short.
+            self._reset(build)
+        elif stat.st_size == self._offset:
+            return None
+        tail = None
+        with open(self._fd, "rb", closefd=False) as handle:
+            for end, raw, entry in ioutil.scan(handle, self._offset):
+                if not raw.endswith(b"\n"):
+                    tail = entry
+                    break
+                self._offset, self._last = end, raw
+                if entry is None:
+                    continue
+                serial = run_serial(entry)
+                if serial > self._serial:
+                    self._serial = serial
+                if build:
+                    _fold(self._records, entry)
+        return tail
+
+    def records(self) -> List[ArchiveRecord]:
+        """The current index's run records, oldest first."""
+        with self._mutex:
+            tail = self._refresh(build=True)
+            if tail is None:
+                return list(self._records.values())
+            records = dict(self._records)
+        _fold(records, tail)
+        return list(records.values())
+
+    def get(self, run_id: str) -> Optional[ArchiveRecord]:
+        """The current record of ``run_id``, or None."""
+        with self._mutex:
+            tail = self._refresh(build=True)
+            record = self._records.get(run_id)
+        if tail is not None and tail.get("run_id") == run_id:
+            single = {} if record is None else {run_id: record}
+            _fold(single, tail)
+            record = single.get(run_id)
+        return record
+
+    def serial(self) -> int:
+        """The highest run-id serial the index has ever allocated."""
+        with self._mutex:
+            tail = self._refresh(build=False)
+            serial = self._serial
+        return serial if tail is None else max(serial, run_serial(tail))
+
+
 @dataclass
 class GcStats:
     """What one :meth:`ArchiveStore.gc` pass removed."""
@@ -167,6 +321,7 @@ class ArchiveStore:
             timeout=lock_timeout_s,
             error=ArchiveLockTimeout,
         )
+        self._view = _IndexView(self.index_path)
 
     # -- paths ---------------------------------------------------------
     @property
@@ -257,40 +412,30 @@ class ArchiveStore:
 
     # -- index ---------------------------------------------------------
     def records(self) -> List[ArchiveRecord]:
-        """All run records, oldest first, with ``tag`` records folded in."""
-        records: Dict[str, ArchiveRecord] = {}
-        for entry in ioutil.read(self.index_path):
-            kind = entry.get("type")
-            if kind == "run":
-                try:
-                    record = ArchiveRecord.from_dict(entry)
-                except (KeyError, TypeError, ValueError):
-                    continue
-                records[record.run_id] = record
-            elif kind == "tag":
-                record = records.get(entry.get("run_id"))
-                tag = entry.get("tag")
-                if record is not None and tag and tag not in record.extra_tags:
-                    record.extra_tags.append(tag)
-        return list(records.values())
+        """All run records, oldest first, with ``tag`` records folded in.
+
+        The records are shared with this store's index view and are
+        never mutated afterwards; callers must not mutate them either.
+        """
+        return self._view.records()
 
     def _max_run_serial(self) -> int:
         """The highest run-id serial the index has ever allocated.
 
-        Scans every raw ``run`` line (not the deduplicated
+        Counts every raw ``run`` line (not the deduplicated
         :meth:`records` view, which keeps one entry per id) and any
         ``counter`` high-water records gc leaves behind when it prunes,
         so ids stay monotonic even after the records that carried them
         are gone from the index.
         """
-        return max(map(run_serial, ioutil.read(self.index_path)), default=0)
+        return self._view.serial()
 
     def get_record(self, ref: str) -> ArchiveRecord:
         """Resolve a run id, full hash, or unambiguous hash prefix."""
+        record = self._view.get(ref)
+        if record is not None:
+            return record
         records = self.records()
-        for record in records:
-            if record.run_id == ref:
-                return record
         if len(ref) >= 6:
             matches = [r for r in records if r.sha256.startswith(ref)]
             unique_shas = {r.sha256 for r in matches}
@@ -342,7 +487,9 @@ class ArchiveStore:
                     self.index_path,
                     {"type": "tag", "run_id": record.run_id, "tag": tag},
                 )
-                record.extra_tags.append(tag)
+                record = dataclasses.replace(
+                    record, extra_tags=record.extra_tags + [tag]
+                )
         return record
 
     def gc(self, keep_last: Optional[int] = None) -> GcStats:

@@ -16,7 +16,11 @@ a SIGKILL mid-append costs at most one torn final line, and the next
 append starts on a fresh line so the fragment never swallows it.
 :func:`read` replays a log lazily, skipping and reporting torn lines;
 the one refusal is a ``meta`` header from a newer schema version, which
-raises the caller's typed error.  :class:`FileLock` serializes
+raises the caller's typed error.  :func:`scan` is the line parser under
+it, and also reads a log incrementally from a byte offset: only
+newline-terminated lines are complete, so a reader that resumes after
+the last one it consumed re-reads an unterminated tail every time until
+the next append seals it.  :class:`FileLock` serializes
 multi-writer logs; :func:`rewrite` replaces a whole log through
 :func:`atomic_write` and is reserved for compaction and repair (archive
 ``gc`` and ``fsck --repair``).
@@ -29,7 +33,7 @@ import os
 import tempfile
 import threading
 import time
-from typing import Iterable, Iterator, List, Optional, Tuple, Type, Union
+from typing import BinaryIO, Iterable, Iterator, List, Optional, Tuple, Type, Union
 
 try:
     import fcntl
@@ -126,6 +130,34 @@ def append(path: Union[str, os.PathLike], *records: dict) -> None:
         os.close(fd)
 
 
+def scan(
+    handle: BinaryIO, start: int = 0
+) -> Iterator[Tuple[int, bytes, Optional[dict]]]:
+    """Walk a log open in binary mode from byte ``start``, line by line.
+
+    Yields ``(end, raw, record)``: ``end`` is the byte offset just past
+    ``raw``, and ``record`` the line's JSON object, or None when the
+    line is blank or torn.  Only the last line can lack its newline:
+    either a torn tail or a complete record whose newline the next
+    :func:`append` writes.  Lines stream through the handle's buffer;
+    the file is never read whole.
+    """
+    handle.seek(start)
+    end = start
+    for raw in handle:
+        end += len(raw)
+        line = raw.decode("utf-8", errors="replace").strip()
+        record = None
+        if line:
+            try:
+                record = json.loads(line)
+            except ValueError:
+                pass
+            if not isinstance(record, dict):
+                record = None
+        yield end, raw, record
+
+
 def read(
     path: Union[str, os.PathLike],
     header: Optional[Tuple[int, Type[Exception]]] = None,
@@ -140,20 +172,14 @@ def read(
     ``VERSION`` raises ``error(found, VERSION)``.
     """
     try:
-        handle = open(path, encoding="utf-8", errors="replace", newline="\n")
+        handle = open(path, "rb")
     except FileNotFoundError:
         return
     with handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                record = None
-            if not isinstance(record, dict):
-                if torn is not None:
+        for lineno, (_end, raw, record) in enumerate(scan(handle), start=1):
+            if record is None:
+                line = raw.decode("utf-8", errors="replace").strip()
+                if line and torn is not None:
                     torn.append((lineno, line))
                 continue
             if header is not None and record.get("type") == "meta":

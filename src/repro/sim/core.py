@@ -76,8 +76,14 @@ class Environment:
 
         Returns the final virtual time.  Raises
         :class:`~repro.errors.DeadlockError` if the queue drains while
-        registered processes are still blocked.
+        registered processes are still blocked, and ``ValueError`` (with
+        the clock and the queue untouched) if ``until`` lies before
+        :attr:`now`: virtual time never runs backwards.
         """
+        if until is not None and until < self.now:
+            raise ValueError(
+                f"run(until={until!r}) is earlier than the current time {self.now!r}"
+            )
         self._until = horizon = float("inf") if until is None else until
         queue = self._queue
         while queue:

@@ -437,8 +437,6 @@ class Supervisor:
                 "error": None,
                 "duration_s": 0.0,
             }
-            if journal is not None:
-                journal.result(spec.cell_id, attempt, payload)
             results[spec.cell_id] = CellResult(
                 cell_id=spec.cell_id,
                 outcome="cancelled",
@@ -449,6 +447,8 @@ class Supervisor:
                 error=None,
                 duration_s=0.0,
             )
+            if journal is not None:
+                journal.result(spec.cell_id, attempt, payload)
 
     def _finalize_short_circuit(
         self,
@@ -473,8 +473,6 @@ class Supervisor:
             "error": f"ShortCircuited: {state.last_failure or 'failure'}",
             "duration_s": 0.0,
         }
-        if journal is not None:
-            journal.result(spec.cell_id, attempt, payload)
         results[spec.cell_id] = CellResult(
             cell_id=spec.cell_id,
             outcome="short_circuited",
@@ -485,6 +483,8 @@ class Supervisor:
             error=payload["error"],
             duration_s=0.0,
         )
+        if journal is not None:
+            journal.result(spec.cell_id, attempt, payload)
 
     # ------------------------------------------------------------------
     def _cached_result(
@@ -642,6 +642,20 @@ class Supervisor:
                                 f"{salvage['records']} recorded events "
                                 f"from {salvage['source']}"
                             ).lstrip("; ")
+            if not will_retry:
+                # Stored before the journal append: a Ctrl-C landing
+                # right after it must not report a journaled cell as
+                # pending in the partial table.
+                results[entry.spec.cell_id] = CellResult(
+                    cell_id=entry.spec.cell_id,
+                    outcome=payload["outcome"],
+                    ok=bool(payload["ok"]),
+                    status=payload["status"],
+                    summary=payload["summary"],
+                    attempts=entry.attempt,
+                    error=payload["error"],
+                    duration_s=payload["duration_s"],
+                )
             if journal is not None:
                 journal.result(entry.spec.cell_id, entry.attempt, payload)
             if breaker is not None:
@@ -657,17 +671,6 @@ class Supervisor:
                         entry.attempt + 1,
                         entry.round + 1,
                     )
-                )
-            else:
-                results[entry.spec.cell_id] = CellResult(
-                    cell_id=entry.spec.cell_id,
-                    outcome=payload["outcome"],
-                    ok=bool(payload["ok"]),
-                    status=payload["status"],
-                    summary=payload["summary"],
-                    attempts=entry.attempt,
-                    error=payload["error"],
-                    duration_s=payload["duration_s"],
                 )
 
     @staticmethod

@@ -51,6 +51,21 @@ def test_run_until_pauses_and_resumes():
     assert env.now == 10.0
 
 
+def test_run_until_before_now_is_rejected_and_changes_nothing():
+    env = Environment()
+    seen = []
+    env.schedule(10.0, seen.append, 10)
+    env.schedule(20.0, seen.append, 20)
+    env.run(until=12.0)
+    with pytest.raises(ValueError, match="earlier than the current time"):
+        env.run(until=5.0)
+    assert env.now == 12.0 and env.pending() == 1 and seen == [10]
+    env.run(until=12.0)  # until == now stays valid
+    assert env.now == 12.0 and seen == [10]
+    env.run()
+    assert seen == [10, 20] and env.now == 20.0
+
+
 def test_process_timeout_advances_clock():
     env = Environment()
 

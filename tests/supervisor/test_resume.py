@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.supervisor.journal import load_journal
+from repro.supervisor import call_cell, outcome_table, run_supervised
+from repro.supervisor.journal import Journal, load_journal
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
@@ -180,3 +181,37 @@ def test_sigkilled_worker_is_classified_and_retried_by_cli(tmp_path):
         if e.get("type") == "result" and e.get("outcome") == "crash"
     ]
     assert len(crashes) == 1 and "SIGKILL" in crashes[0]["summary"]
+
+
+def test_ctrl_c_right_after_a_journaled_result_keeps_its_outcome(
+    tmp_path, monkeypatch
+):
+    # In-process and deterministic: KeyboardInterrupt lands the moment
+    # the first cell's result is durably journaled.  The partial table
+    # must report that cell's outcome, as the journal does, not list it
+    # as pending.
+    journal = tmp_path / "journal.jsonl"
+    journal_result = Journal.result
+
+    def result_then_ctrl_c(self, cell_id, attempt, payload):
+        journal_result(self, cell_id, attempt, payload)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Journal, "result", result_then_ctrl_c)
+    report = run_supervised(
+        [
+            call_cell("repro.supervisor.stubs:ok_cell", {"value": 1}, cell_id="done"),
+            call_cell("repro.supervisor.stubs:ok_cell", {"value": 2}, cell_id="later"),
+        ],
+        jobs=1,
+        journal_path=str(journal),
+    )
+
+    assert report.interrupted
+    outcomes = {r.cell_id: r.outcome for r in report.results}
+    assert outcomes == {"done": "ok", "later": "pending"}
+    state = load_journal(str(journal))
+    assert state.interrupted and state.completed == {"done"}
+    assert "pending" not in next(
+        line for line in outcome_table(report).splitlines() if "done" in line
+    )
