@@ -226,9 +226,8 @@ class _IndexView:
         try:
             stat = os.stat(self.path)
         except FileNotFoundError:
-            self._attach(build)
-            return None
-        if self._identity != (stat.st_dev, stat.st_ino, os.getpid()):
+            stat = None
+        if stat is None or self._identity != (stat.st_dev, stat.st_ino, os.getpid()):
             if not self._attach(build):
                 return None
         elif (
